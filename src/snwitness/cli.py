@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITES, suite_oracle
-from .embedding import lift_operator, lift_state, lower_ensemble, lower_state
+from .embedding import lift_operator, lift_state, lower_operator, lower_state
 from .errors import SnWitnessError
 from .families import (
     IsotropicWitnessSpec,
@@ -109,7 +109,8 @@ def operator_from_json(data: dict) -> Operator:
             raise CliInputError(f"matrix[{i}]: expected {n} entries")
         rows.append([_pair_to_complex(pair, f"matrix[{i}][{j}]") for j, pair in enumerate(row)])
     matrix = np.array(rows)
-    hermitian = bool(np.abs(matrix - matrix.conj().T).max() < 1e-10)
+    with np.errstate(invalid="ignore"):  # non-finite entries: Operator rejects them
+        hermitian = bool(np.abs(matrix - matrix.conj().T).max() < 1e-10)
     return Operator(dims, matrix, hermitian=hermitian)
 
 
@@ -323,14 +324,7 @@ def cmd_lower(args) -> int:
         payload = state_to_json(lowered)
         diagnostics = {"kind": "state", "normSquared": float(lowered.norm() ** 2)}
     elif "matrix" in data:
-        operator = operator_from_json(data)
-        evals, evecs = np.linalg.eigh(operator.matrix)
-        ensemble = [
-            (float(w), PureState(operator.dims, np.ascontiguousarray(evecs[:, i])))
-            for i, w in enumerate(evals)
-            if w > 1e-12
-        ]
-        lowered_op = lower_ensemble(ensemble, args.k)
+        lowered_op = lower_operator(operator_from_json(data), args.k)
         payload = operator_to_json(lowered_op)
         diagnostics = {"kind": "operator", "trace": lowered_op.trace().real}
     else:

@@ -152,6 +152,23 @@ def lower_state(psi: PureState, k: int) -> PureState:
     return PureState(Dims(d.dA, d.dB), out)
 
 
+def lower_operator(op: Operator, k: int) -> Operator:
+    """Linear lowering of an enlarged-space operator: sum_{s,t} op[(a,s,b,s),(c,t,d,t)].
+
+    For a weighted sum of projectors this equals ``lower_ensemble`` of the
+    ensemble; no eigendecomposition is involved, so any operator lowers.
+    """
+    d = op.dims
+    if d.kA != k or d.kB != k:
+        raise DimensionError(
+            f"operator has ancilla dims ({d.kA}, {d.kB}), expected ({k}, {k})"
+        )
+    t8 = op.matrix.reshape(d.dA, k, d.dB, k, d.dA, k, d.dB, k)
+    small = Dims(d.dA, d.dB)
+    out = np.einsum("asbsctdt->abcd", t8).reshape(small.total, small.total)
+    return Operator(small, out, hermitian=op.hermitian)
+
+
 def _check_ensemble(ensemble):
     if not ensemble:
         raise ParameterError("ensemble must contain at least one state")

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import lift_operator
-from .errors import ParameterError
+from .errors import ParameterError, SnWitnessError
 from .hilbert import Dims, Operator, PureState, min_eigenpair
 from .witness import (
     POSITIVE,
@@ -120,8 +119,7 @@ def _verdict_label(classification: WitnessClassification) -> str:
 
 
 def _product_min_at_level(family, a: float, level: int, config) -> float:
-    lifted = lift_operator(family(a), level).operator
-    return min_product_expectation(lifted, config).value
+    return min_product_expectation(family(a), config, k=level).value
 
 
 def threshold_scan(
@@ -141,8 +139,11 @@ def threshold_scan(
     located to within ``bisect_tol`` by bisecting the sign of the quantity
     that governs that boundary (the smallest eigenvalue against a positive
     verdict, the product minimum at the detecting level otherwise).  A row
-    whose classification fails is marked and the scan continues.
+    whose classification fails with a package or linear-algebra error is
+    marked and the scan continues.
     """
+    if not bisect_tol > 0:
+        raise ParameterError(f"bisect_tol must be > 0, got {bisect_tol}")
 
     def family(a: float) -> Operator:
         return make_isotropic_witness(IsotropicWitnessSpec(a, d))
@@ -168,7 +169,7 @@ def threshold_scan(
                 )
             )
             classifications[a] = cls
-        except Exception as exc:  # record the failure, keep scanning
+        except (SnWitnessError, np.linalg.LinAlgError) as exc:  # record, keep scanning
             rows.append(
                 ScanRow(
                     a=a,
@@ -219,11 +220,16 @@ def _boundary_predicate(family, cls_left, cls_right, config):
     return predicate
 
 
+MAX_HALVINGS = 200  # bounds the loop once the bracket stops shrinking in floats
+
+
 def _bisect_predicate(predicate, lo: float, hi: float, tol: float):
     """Bisect a boolean predicate assumed True at lo and False at hi."""
     if not predicate(lo) or predicate(hi):
         return 0.5 * (lo + hi), hi - lo  # no clean sign change on the bracket
-    while hi - lo > 2 * tol:
+    for _ in range(MAX_HALVINGS):
+        if hi - lo <= 2 * tol:
+            break
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             lo = mid

@@ -84,6 +84,8 @@ def _as_readonly(values, shape, what) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.shape != shape:
         raise DimensionError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{what} has non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -140,6 +142,11 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
+
+    def as_tensor(self) -> np.ndarray:
+        """View of the matrix reshaped to (a_dim, b_dim, a_dim, b_dim)."""
+        d = self.dims
+        return self.matrix.reshape(d.a_dim, d.b_dim, d.a_dim, d.b_dim)
 
 
 @dataclass(frozen=True)
@@ -254,6 +261,21 @@ def _require_hermitian(op: Operator):
         raise NotHermitianError(f"operator is not Hermitian (max deviation {dev:g})")
 
 
+def _conditional(t4: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Conditional operators C[(j,s),(m,t)] = sum_{i,l} conj(F[i,s]) T[i,j,l,m] F[l,t].
+
+    ``t4`` is an operator as its (dA, dB, dA, dB) tensor and ``f`` a stack of
+    dA x k factors; the result stacks the (dB*k) x (dB*k) operators on the
+    other factor.  For the conditional on the A side pass
+    ``t4.transpose(1, 0, 3, 2)`` and B factors.
+    """
+    r, da, k = f.shape
+    db = t4.shape[1]
+    left = (f.conj().transpose(0, 2, 1) @ t4.reshape(da, -1)).reshape(r, k, db, da, db)
+    out = left.transpose(0, 1, 2, 4, 3).reshape(r, k * db * db, da) @ f
+    return out.reshape(r, k, db, db, k).transpose(0, 2, 1, 3, 4).reshape(r, db * k, db * k)
+
+
 def partial_expectation(w: Operator, e: PureState, side: str = "A") -> Operator:
     """Expectation <e|W|e> over one factor, leaving an operator on the other.
 
@@ -262,18 +284,16 @@ def partial_expectation(w: Operator, e: PureState, side: str = "A") -> Operator:
     """
     _require_hermitian(w)
     d = w.dims
-    w4 = w.matrix.reshape(d.a_dim, d.b_dim, d.a_dim, d.b_dim)
-    vec = e.amplitudes
+    vec = e.amplitudes.reshape(1, -1, 1)
     if side == "A":
         if e.dims.a_dim != d.a_dim or e.dims.b_dim != 1:
             raise DimensionError("e must live on the A-side factor of W")
-        out = np.einsum("r,rcsd,s->cd", vec.conj(), w4, vec)
-        return Operator(d.b_factor(), out, hermitian=True)
+        return Operator(d.b_factor(), _conditional(w.as_tensor(), vec)[0], hermitian=True)
     if side == "B":
         if e.dims.b_dim != d.b_dim or e.dims.a_dim != 1:
             raise DimensionError("e must live on the B-side factor of W")
-        out = np.einsum("c,rcsd,d->rs", vec.conj(), w4, vec)
-        return Operator(d.a_factor(), out, hermitian=True)
+        swapped = w.as_tensor().transpose(1, 0, 3, 2)
+        return Operator(d.a_factor(), _conditional(swapped, vec)[0], hermitian=True)
     raise ParameterError(f"side must be 'A' or 'B', got {side!r}")
 
 
@@ -312,7 +332,7 @@ def trace_pair(w: Operator, rho: Operator) -> float:
 def partial_transpose(w: Operator, side: str = "B") -> Operator:
     """Transpose the indices of one full factor (system plus its ancilla)."""
     d = w.dims
-    w4 = w.matrix.reshape(d.a_dim, d.b_dim, d.a_dim, d.b_dim)
+    w4 = w.as_tensor()
     if side == "A":
         out = w4.transpose(2, 1, 0, 3)
     elif side == "B":

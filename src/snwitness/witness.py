@@ -2,13 +2,15 @@
 classification, subtraction-based refinement and optimality certificates.
 
 The central primitive is ``min_product_expectation``: the infimum of
-<A,B|W|A,B> over unit product states.  Fixing one factor turns the problem
-into an exact eigenproblem for the other (via ``partial_expectation``), so
-the optimizer alternates exact half-steps; the per-iteration value is
-non-increasing.  Certification is one-sided: the optimizer yields an upper
-bound on the true infimum, so "non-negative on products" verdicts carry the
-restart count as evidence and are validated against brute force at small
-dimensions (see ``checks``).
+<A,B|W|A,B> over unit product states, or over states of Schmidt rank <= k
+(the product states of the lifted operator).  Fixing one factor turns the
+problem into an exact eigenproblem for the other, whose operator is
+contracted straight from the (dA, dB, dA, dB) tensor of W, so the
+optimizer alternates exact half-steps over all restarts at once; the
+per-iteration value is non-increasing.  Certification is one-sided: the
+optimizer yields an upper bound on the true infimum, so "non-negative on
+products" verdicts carry the restart count as evidence and are validated
+against brute force at small dimensions (see ``checks``).
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import lift_operator, lower_state
 from .errors import DimensionError, ParameterError, PreconditionError
 from .hilbert import (
+    Dims,
     Operator,
     PureState,
+    _conditional,
     _require_hermitian,
     a_factor_state,
     b_factor_state,
@@ -52,6 +55,10 @@ class OptimizerConfig:
             raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("convergence_tol", "positivity_tol", "zero_tol"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
     def to_json(self) -> dict:
         return {
@@ -89,6 +96,13 @@ class ProductMinResult:
     def minimizer(self) -> PureState:
         """The minimizing product state as a vector on the full space."""
         return product_state(self.arg_a, self.arg_b)
+
+    def lowered(self) -> PureState:
+        """The minimizer with its ancillas contracted: sum_s A[:,s] (x) B[:,s]."""
+        da, db = self.arg_a.dims, self.arg_b.dims
+        a = self.arg_a.amplitudes.reshape(da.dA, da.kA)
+        b = self.arg_b.amplitudes.reshape(db.dB, db.kB)
+        return PureState(Dims(da.dA, db.dB), (a @ b.T).ravel())
 
 
 @dataclass(frozen=True)
@@ -146,16 +160,53 @@ def _random_unit(rng, n: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _conditional_b(w4: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<a|W|a> over the A factor, as a matrix on the B factor."""
-    t = np.tensordot(a.conj(), w4, axes=(0, 0))  # (b, a, b)
-    return np.tensordot(t, a, axes=(1, 0))
+def _starts(config: OptimizerConfig, n: int, *salt) -> np.ndarray:
+    """One seeded random unit start vector of length n per restart."""
+    return np.array(
+        [
+            _random_unit(np.random.default_rng((config.seed, *salt, r)), n)
+            for r in range(config.restarts)
+        ]
+    )
 
 
-def _conditional_a(w4: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<b|W|b> over the B factor, as a matrix on the A factor."""
-    t = np.tensordot(w4, b, axes=(3, 0))  # (a, b, a)
-    return np.tensordot(b.conj(), t.transpose(1, 0, 2), axes=(0, 0))
+def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float):
+    """Rank-k see-saw on the (dA, dB, dA, dB) tensor of S, all restarts at once.
+
+    Minimizes <psi|S|psi> over psi = sum_s A[:,s] (x) B[:,s] with A (dA x k)
+    and B (dB x k) of unit Frobenius norm, from one start A per row of
+    ``starts``.  Each half-step solves one factor exactly with the other
+    fixed, by one stacked ``eigh`` over the restarts still active; a restart
+    leaves the stack once its value drops by less than ``tol`` in an
+    iteration.  Returns (values, A, B, converged, history): per-restart final
+    values, factors and flags, and per iteration an (R, 2) array of the two
+    half-step values (NaN for restarts that had already stopped).
+    """
+    da, db = s4.shape[0], s4.shape[1]
+    swapped = s4.transpose(1, 0, 3, 2)
+    a = np.array(starts, dtype=np.complex128).reshape(-1, da, k)
+    a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
+    r = a.shape[0]
+    b = np.zeros((r, db, k), dtype=np.complex128)
+    values = np.full(r, np.inf)
+    converged = np.zeros(r, dtype=bool)
+    active = np.arange(r)
+    history = []
+    for _ in range(max_iters):
+        vals_b, vecs_b = np.linalg.eigh(_conditional(s4, a[active]))
+        b[active] = vecs_b[:, :, 0].reshape(-1, db, k)
+        vals_a, vecs_a = np.linalg.eigh(_conditional(swapped, b[active]))
+        a[active] = vecs_a[:, :, 0].reshape(-1, da, k)
+        step = np.full((r, 2), np.nan)
+        step[active, 0], step[active, 1] = vals_b[:, 0], vals_a[:, 0]
+        history.append(step)
+        done = values[active] - vals_a[:, 0] < tol
+        values[active] = vals_a[:, 0]
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+    return values, a, b, converged, history
 
 
 def seesaw_once(
@@ -166,53 +217,45 @@ def seesaw_once(
     Returns (value, a, b, history, converged); ``history`` holds the
     objective after every exact half-step and is non-increasing.
     """
-    d = w.dims
-    w4 = w.matrix.reshape(d.a_dim, d.b_dim, d.a_dim, d.b_dim)
-    a = np.asarray(start_a, dtype=np.complex128)
-    a = a / np.linalg.norm(a)
-    history: list[float] = []
-    b = None
-    converged = False
-    prev = np.inf
-    for _ in range(max_iters):
-        vals_b, vecs_b = np.linalg.eigh(_conditional_b(w4, a))
-        b = vecs_b[:, 0]
-        history.append(float(vals_b[0]))
-        vals_a, vecs_a = np.linalg.eigh(_conditional_a(w4, b))
-        a = vecs_a[:, 0]
-        value = float(vals_a[0])
-        history.append(value)
-        if prev - value < tol:
-            converged = True
-            break
-        prev = value
-    return history[-1], a, b, history, converged
+    values, a, b, converged, history = _seesaw(
+        w.as_tensor(), 1, [start_a], max_iters, tol
+    )
+    steps = [float(v) for step in history for v in step[0]]
+    return float(values[0]), a[0, :, 0], b[0, :, 0], steps, bool(converged[0])
 
 
-def min_product_expectation(w: Operator, config: OptimizerConfig) -> ProductMinResult:
-    """Minimize <A,B|W|A,B> over unit product states by restarted see-saw."""
+def min_product_expectation(
+    w: Operator, config: OptimizerConfig, k: int = 1
+) -> ProductMinResult:
+    """Minimize <A,B|W|A,B> over unit product states by restarted see-saw.
+
+    With k = 1 the product split is the operator's own (a_dim | b_dim) split,
+    so lifted operators work too.  With k > 1, W must carry no ancillas and
+    the minimum runs over states of Schmidt rank <= k: the product minimum
+    of ``lift_operator(W, k)``, found without building it.  The factors
+    ``arg_a`` and ``arg_b`` then live on the ancilla-extended factors.
+    """
     _require_hermitian(w)
-    if config.restarts < 1:
-        raise ParameterError("at least one restart is required")
-    d = w.dims
-    best = None
-    per_restart: list[float] = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
-        value, a, b, _, converged = seesaw_once(
-            w, _random_unit(rng, d.a_dim), config.max_iters, config.convergence_tol
-        )
-        per_restart.append(value)
-        if best is None or value < best[0]:
-            best = (value, a, b, converged)
-    value, a, b, converged = best
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if k > 1 and not w.dims.unextended:
+        raise DimensionError("rank-k minimization expects an operator without ancillas")
+    dims = w.dims.with_ancillas(k) if k > 1 else w.dims
+    values, a, b, converged, _ = _seesaw(
+        w.as_tensor(),
+        k,
+        _starts(config, dims.a_dim),
+        config.max_iters,
+        config.convergence_tol,
+    )
+    best = int(np.argmin(values))
     return ProductMinResult(
-        value=value,
-        arg_a=a_factor_state(a, d, normalized=True),
-        arg_b=b_factor_state(b, d, normalized=True),
+        value=float(values[best]),
+        arg_a=a_factor_state(a[best].ravel(), dims, normalized=True),
+        arg_b=b_factor_state(b[best].ravel(), dims, normalized=True),
         restarts_used=config.restarts,
-        converged=converged,
-        trace=tuple(per_restart),
+        converged=bool(converged[best]),
+        trace=tuple(float(v) for v in values),
     )
 
 
@@ -235,11 +278,11 @@ def classify_schmidt_witness(
 ) -> WitnessClassification:
     """Classify a Hermitian operator as positive or as a k-Schmidt witness.
 
-    Product minima of the lifted operator are scanned level by level; the
-    witness order k is the first ancilla level whose product minimum drops
-    below -positivity_tol.  The detected state is the lowered (and
-    normalized) minimizer from that level, a state of Schmidt rank <= k with
-    a negative expectation value.
+    Minima over Schmidt rank <= level (the product minima of the lifted
+    operator) are scanned level by level; the witness order k is the first
+    level whose minimum drops below -positivity_tol.  The detected state is
+    the normalized contraction of that level's minimizer, a state of Schmidt
+    rank <= k with a negative expectation value.
     """
     if not s.dims.unextended:
         raise DimensionError("classification expects an operator without ancillas")
@@ -255,12 +298,11 @@ def classify_schmidt_witness(
     per_level: dict[int, float] = {}
     converged = True
     for level in range(1, max_k + 1):
-        lifted = lift_operator(s, level).operator
-        result = min_product_expectation(lifted, config)
+        result = min_product_expectation(s, config, k=level)
         per_level[level] = result.value
         converged = converged and result.converged
         if result.value < -tol:
-            detected = normalize(lower_state(result.minimizer(), level))
+            detected = normalize(result.lowered())
             return WitnessClassification(
                 SCHMIDT_WITNESS, level, min_eig, per_level, detected, converged
             )
@@ -371,35 +413,39 @@ def _pencil_extreme(p: np.ndarray, q: np.ndarray, largest: bool):
 
 
 def _pencil_seesaw(
-    p4: np.ndarray, q4: np.ndarray, a_dim: int, config: OptimizerConfig, largest: bool
+    p4: np.ndarray, q4: np.ndarray, k: int, config: OptimizerConfig, largest: bool
 ):
-    """Extremize the product-state ratio <AB|P|AB>/<AB|Q|AB> by alternation.
+    """Extremize <psi|P|psi>/<psi|Q|psi> over psi of Schmidt rank <= k by alternation.
 
-    Each half-step solves the generalized eigenproblem for one factor with
-    the other fixed, so the ratio is monotone along a run.  Returns the best
-    ratio over restarts (None if every direction was degenerate) and whether
-    P was found negative on the kernel of Q anywhere.
+    ``p4`` and ``q4`` are (dA, dB, dA, dB) tensors.  Each half-step solves the
+    generalized eigenproblem for one rank-k factor with the other fixed, so
+    the ratio is monotone along a run.  Returns the best ratio over restarts
+    (None if every direction was degenerate) and whether P was found
+    negative on the kernel of Q anywhere.
     """
+    da, db = p4.shape[0], p4.shape[1]
+    p_swap, q_swap = p4.transpose(1, 0, 3, 2), q4.transpose(1, 0, 3, 2)
     best = None
     kernel_flag = False
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, 104729, r))
-        a = _random_unit(rng, a_dim)
+    for start in _starts(config, da * k, 104729):
+        a = start.reshape(1, da, k)
         value = None
         prev = None
         for _ in range(config.max_iters):
             val_b, b, neg = _pencil_extreme(
-                _conditional_b(p4, a), _conditional_b(q4, a), largest
+                _conditional(p4, a)[0], _conditional(q4, a)[0], largest
             )
             kernel_flag = kernel_flag or neg
             if val_b is None:
                 break
+            b = b.reshape(1, db, k)
             val_a, a, neg = _pencil_extreme(
-                _conditional_a(p4, b), _conditional_a(q4, b), largest
+                _conditional(p_swap, b)[0], _conditional(q_swap, b)[0], largest
             )
             kernel_flag = kernel_flag or neg
             if val_a is None:
                 break
+            a = a.reshape(1, da, k)
             value = val_a
             if prev is not None and abs(prev - value) < config.convergence_tol:
                 break
@@ -421,7 +467,8 @@ def lambda_max_subtraction(
     """Largest lambda keeping (S - lambda Z)/(1 - lambda) a k-Schmidt witness.
 
     Estimates the threshold by extremizing the two equivalent quadratic-form
-    ratios of the lifted pair at ancilla level k-1, each by restarted
+    ratios of the pair over states of Schmidt rank <= k-1 (the product
+    ratios of the lifted pair at ancilla level k-1), each by restarted
     alternation.  Degenerate directions (no support of the denominator form)
     are skipped; if the numerator form is negative on the denominator's
     kernel the threshold is reported as 0.  The caller asserts that Z is
@@ -439,13 +486,8 @@ def lambda_max_subtraction(
     _require_hermitian(z)
     _spot_check_positive_on_class(z, k, config)
 
-    level = k - 1
-    dims = s.dims.with_ancillas(level)
-    shape = (dims.a_dim, dims.b_dim, dims.a_dim, dims.b_dim)
-    s4 = lift_operator(s, level).operator.matrix.reshape(shape)
-    z4 = lift_operator(z, level).operator.matrix.reshape(shape)
-
-    min_ratio, neg_kernel = _pencil_seesaw(s4, z4, dims.a_dim, config, largest=False)
+    s4, z4 = s.as_tensor(), z.as_tensor()
+    min_ratio, neg_kernel = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
     if neg_kernel:
         formula_min = 0.0
     elif min_ratio is None:
@@ -453,7 +495,7 @@ def lambda_max_subtraction(
     else:
         formula_min = max(min_ratio, 0.0)
 
-    sup_ratio, _ = _pencil_seesaw(z4, s4, dims.a_dim, config, largest=True)
+    sup_ratio, _ = _pencil_seesaw(z4, s4, k - 1, config, largest=True)
     if sup_ratio is None or sup_ratio <= 0.0:
         formula_sup_inv = np.inf
     else:
@@ -494,16 +536,17 @@ def optimality_certificate(
     if not check.is_witness:
         raise PreconditionError("operator is not an entanglement witness")
     d = w.dims
-    zeros = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, 7919, r))
-        value, a, b, _, _ = seesaw_once(
-            w, _random_unit(rng, d.a_dim), config.max_iters, config.convergence_tol
-        )
-        if abs(value) <= config.zero_tol:
-            zeros.append(np.outer(a, b).ravel())
-    if not zeros:
+    values, a, b, _, _ = _seesaw(
+        w.as_tensor(),
+        1,
+        _starts(config, d.a_dim, 7919),
+        config.max_iters,
+        config.convergence_tol,
+    )
+    near_zero = np.abs(values) <= config.zero_tol
+    if not near_zero.any():
         return 0, False
-    singular = np.linalg.svd(np.array(zeros), compute_uv=False)
+    zeros = np.einsum("ri,rj->rij", a[near_zero, :, 0], b[near_zero, :, 0])
+    singular = np.linalg.svd(zeros.reshape(-1, d.total), compute_uv=False)
     span_dim = int(np.sum(singular > singular[0] * 1e-8))
     return span_dim, span_dim == d.total

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from snwitness import Dims, Operator, maximally_entangled_state, random_pure_state
+from oracles import lower_operator_by_isometry
+from snwitness import (
+    Dims,
+    Operator,
+    maximally_entangled_state,
+    random_hermitian,
+    random_pure_state,
+)
 from snwitness.cli import main, operator_to_json, state_from_json, state_to_json
 
 
@@ -55,6 +62,40 @@ def test_classify_rejects_garbage(tmp_path):
 def test_classify_rejects_missing_field(tmp_path):
     path = write_json(tmp_path / "bad.json", {"dims": {"dA": 3, "dB": 3}})
     assert run_cli("classify", "--input", str(path)) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
+    op = operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9, hermitian=True))
+    op["matrix"][1][2][0] = op["matrix"][2][1][0] = bad
+    state = state_to_json(maximally_entangled_state(3))
+    state["amplitudes"][4][1] = bad
+    for command, payload in (("classify", op), ("lift", state), ("lift", op)):
+        path = write_json(tmp_path / "bad.json", payload)
+        extra = ["--k", "2"] if command == "lift" else []
+        assert run_cli(command, "--input", path, *extra) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "non-finite" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # once hung forever: the bisection never narrowed to a zero width
+        ["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--dim", "3",
+         "--restarts", "4", "--bisect", "--bisect-tol", "0"],
+        ["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--bisect-tol", "-1"],
+        # a negative tolerance once inverted the verdict (k = 1 for a 2-SW)
+        ["classify", "--family", "isotropic", "--a", "0.2", "--dim", "3", "--tol", "-1"],
+        ["classify", "--family", "isotropic", "--a", "0.2", "--tol", "nan"],
+        ["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--tol", "-1"],
+    ],
+)
+def test_bad_tolerances_exit_2(capsys, argv):
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ParameterError")
 
 
 def test_scan_csv_structure(tmp_path):
@@ -137,6 +178,18 @@ def test_lower_operator_through_its_eigenensemble(tmp_path):
         [[complex(re, im) for re, im in row] for row in report["result"]["matrix"]]
     )
     assert np.abs(got - expected).max() < 1e-9
+
+
+def test_lower_operator_is_linear_for_indefinite_input(tmp_path):
+    h = random_hermitian(Dims(2, 2, 2, 2), seed=92)
+    assert np.sum(np.linalg.eigvalsh(h.matrix) < 0) > 0
+    path = write_json(tmp_path / "h.json", operator_to_json(h))
+    out = tmp_path / "lowered.json"
+    assert run_cli("lower", "--input", path, "--k", "2", "--output", str(out)) == 0
+    got = np.array(
+        [[complex(re, im) for re, im in row] for row in read_report(out)["result"]["matrix"]]
+    )
+    assert np.abs(got - lower_operator_by_isometry(h.matrix, 2, 2, 2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("suite", ["identities", "roundtrip", "trace", "lemma5"])

@@ -14,6 +14,7 @@ from snwitness import (
     lift_operator,
     lift_state,
     lower_ensemble,
+    lower_operator,
     lower_product_state,
     lower_state,
     maximally_entangled_state,
@@ -25,7 +26,7 @@ from snwitness import (
 )
 from snwitness.hilbert import a_factor_state, b_factor_state, product_state
 
-from oracles import contract_ancillas, rank_from_reduced
+from oracles import contract_ancillas, lower_operator_by_isometry, rank_from_reduced
 
 D33 = Dims(3, 3)
 
@@ -324,6 +325,26 @@ def test_lower_ensemble_inverts_lifted_mixture():
     theta = lower_ensemble(lifted_members, k)
     original = ensemble_operator(D33, members)
     assert np.abs(theta.matrix - original.matrix).max() < 1e-10
+
+
+def test_lower_operator_is_the_ensemble_lowering_on_mixtures():
+    k = 2
+    dims = D33.with_ancillas(k)
+    ensemble = random_ensemble(dims, 59, max_rank=dims.a_dim)
+    lowered = lower_operator(ensemble_operator(dims, ensemble), k)
+    assert lowered.dims == D33 and lowered.hermitian
+    assert np.abs(lowered.matrix - lower_ensemble(ensemble, k).matrix).max() < 1e-12
+
+
+def test_lower_operator_is_linear_on_indefinite_operators():
+    for d_a, d_b, k in ((2, 2, 2), (2, 3, 2), (3, 2, 3)):
+        dims = Dims(d_a, d_b, k, k)
+        h = random_hermitian(dims, seed=(60, d_a, d_b, k))
+        assert np.linalg.eigvalsh(h.matrix)[0] < 0
+        expected = lower_operator_by_isometry(h.matrix, d_a, d_b, k)
+        assert np.abs(lower_operator(h, k).matrix - expected).max() < 1e-12
+    with pytest.raises(DimensionError):
+        lower_operator(random_hermitian(D33, seed=61), 2)
 
 
 def test_ensemble_weight_validation():

@@ -1,12 +1,17 @@
 """Tests for the family constructors, random generators and the scanner."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import snwitness.families as families
 from snwitness import (
     Dims,
     OptimizerConfig,
     ParameterError,
+    embedding,
+    lambda_max_subtraction,
     lift_operator,
     make_isotropic_witness,
     maximally_entangled_state,
@@ -16,7 +21,8 @@ from snwitness import (
     schmidt_rank,
     threshold_scan,
 )
-from snwitness.families import IsotropicWitnessSpec
+from snwitness.cli import main
+from snwitness.families import IsotropicWitnessSpec, _bisect_predicate
 
 D33 = Dims(3, 3)
 FAST = OptimizerConfig(seed=4, restarts=12)
@@ -173,3 +179,47 @@ def test_scan_marks_failed_rows_and_continues():
 def test_scan_rows_are_ordered_by_parameter():
     scan = threshold_scan([0.2, 0.05], d=3, config=FAST)
     assert [row.a for row in scan.rows] == [0.05, 0.2]
+
+
+def test_scan_rejects_non_positive_bisect_tol():
+    for bad in (0.0, -1e-3):
+        with pytest.raises(ParameterError):
+            threshold_scan([0.05, 0.2], d=3, config=FAST, bisect=True, bisect_tol=bad)
+
+
+def test_bisection_stops_after_a_fixed_number_of_halvings():
+    calls = []
+
+    def predicate(a):
+        calls.append(a)
+        return a < 0.3
+
+    a_star, width = _bisect_predicate(predicate, 0.1, 0.5, tol=0.0)
+    assert abs(a_star - 0.3) < 1e-12 and width >= 0.0
+    assert len(calls) == 2 + families.MAX_HALVINGS
+
+
+def test_scan_lets_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a scan failure")
+
+    monkeypatch.setattr(families, "classify_schmidt_witness", broken)
+    with pytest.raises(TypeError):
+        threshold_scan([0.05, 0.2], d=3, config=FAST)
+
+
+def test_classify_and_scan_never_build_the_lifted_operator(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lift_operator called on the optimizer path")
+
+    original = embedding.lift_operator
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "snwitness" and getattr(module, "lift_operator", None) is original:
+            monkeypatch.setattr(module, "lift_operator", refuse)
+    out = tmp_path / "out.json"
+    assert main(["classify", "--family", "isotropic", "--a", "0.125", "--restarts", "8",
+                 "--output", str(out)]) == 0
+    assert main(["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--restarts", "8",
+                 "--bisect", "--bisect-tol", "0.01", "--output", str(out)]) == 0
+    z = make_isotropic_witness(IsotropicWitnessSpec(0.0, 3))
+    assert abs(lambda_max_subtraction(isotropic(1 / 8), z, 3, FAST).lambda0 - 2 / 7) < 1e-6

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import lifted_seesaw_min
 from snwitness import (
+    DimensionError,
     Dims,
     NotHermitianError,
     Operator,
@@ -131,6 +135,45 @@ def test_seesaw_monotone_on_lifted_operator():
     assert value >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
 
 
+def random_unit_hermitian(dims, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
+    h = g + g.conj().T
+    return Operator(dims, h / np.linalg.norm(h), hermitian=True)
+
+
+@st.composite
+def rank_k_problems(draw):
+    d_a = draw(st.sampled_from([2, 3, 4]))
+    d_b = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, min(d_a, d_b)))
+    s = random_unit_hermitian(Dims(d_a, d_b), draw(st.integers(0, 2**32 - 1)))
+    return s, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rank_k_problems())
+def test_rank_k_kernel_matches_lifted_seesaw(problem):
+    s, k, seed = problem
+    config = OptimizerConfig(seed=seed, restarts=4)
+    result = min_product_expectation(s, config, k=k)
+    value, trace, converged = lifted_seesaw_min(s, k, config)
+    assert abs(result.value - value) < 1e-9
+    assert np.abs(np.array(result.trace) - trace).max() < 1e-9
+    assert result.converged == converged
+    d = s.dims
+    a = result.arg_a.amplitudes.reshape(d.dA, k)
+    b = result.arg_b.amplitudes.reshape(d.dB, k)
+    psi = PureState(d, (a @ b.T).ravel())
+    assert abs(result.value - expectation(s, psi)) < 1e-9
+    assert np.abs(result.lowered().amplitudes - psi.amplitudes).max() == 0.0
+
+
+def test_rank_k_minimum_needs_an_operator_without_ancillas():
+    with pytest.raises(DimensionError):
+        min_product_expectation(lift_operator(isotropic(0.2), 2).operator, CFG, k=2)
+
+
 def test_product_min_requires_hermitian():
     w = Operator(Dims(2, 2), np.diag([1.0, 2, 3, 4]) + np.eye(4, k=1))
     with pytest.raises(NotHermitianError):
@@ -140,6 +183,10 @@ def test_product_min_requires_hermitian():
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizerConfig(restarts=0)
+    for name in ("convergence_tol", "positivity_tol", "zero_tol"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                OptimizerConfig(**{name: bad})
 
 
 def test_config_json_roundtrip():
@@ -213,6 +260,19 @@ def test_classify_operator_negative_on_products():
     assert abs(cls.per_level_product_min[1] - (1 / 9 - 0.4 / 3) / 0.6) < 1e-8
     assert schmidt_rank(cls.detected_state) == 1
     assert expectation(s, cls.detected_state) < -1e-7
+
+
+def test_classify_isotropic_at_dimension_six():
+    # 1/36 < a < 1/30: non-negative on Schmidt rank <= 5, negative at rank 6
+    config = OptimizerConfig(seed=5, restarts=8)
+    cls = classify_schmidt_witness(isotropic(0.03, d=6), config=config)
+    assert (cls.verdict, cls.k, cls.converged) == (SCHMIDT_WITNESS, 6, True)
+    assert all(cls.per_level_product_min[l] >= -config.positivity_tol for l in range(1, 6))
+    assert abs(cls.per_level_product_min[1] - (1 / 36 - 0.03 / 6) / 0.97) < 1e-8
+    # the minimizer is the maximally entangled direction, and |A B^T|^2 <= 1/6
+    # there for unit-norm factors
+    assert abs(cls.per_level_product_min[6] - cls.min_eigenvalue / 6) < 1e-8
+    assert schmidt_rank(cls.detected_state) == 6
 
 
 def test_classify_respects_max_k():
