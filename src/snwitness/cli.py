@@ -349,9 +349,11 @@ def cmd_verify(args) -> int:
         raise CliInputError(
             f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
         )
+    if args.trials < 1:
+        raise CliInputError(f"--trials must be >= 1, got {args.trials}")
+    config = _config_from_args(args)
     if args.suite == "oracle":
         dims = _parse_dims(args.dims)
-        config = OptimizerConfig(seed=args.seed, restarts=args.restarts)
         result = suite_oracle(args.trials, args.seed, dims=dims, config=config)
     else:
         result = SUITES[args.suite](args.trials, args.seed, d=args.dim)

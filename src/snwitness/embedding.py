@@ -13,10 +13,10 @@ therefore become product states across the enlarged (A.anc | B.anc) split.
 Operators lift as S -> sum_{s,t} S (x) |ss><tt| (ancilla indices reordered
 into the global convention), which ties product-state positivity in the
 enlarged space to positivity on bounded-Schmidt-rank states downstairs.
-The lowering maps invert the construction: a product state |A>(x)|B| of the
-enlarged space drops to sum_{l,m} F_lm lambda_l mu_m |a_l b_m> with
-F_lm = sum_i <anc_i anc_i | c_l d_m>, and general states drop term-wise
-through their Schmidt decomposition.  Lifted/lowered states are kept
+Lowering is one linear contraction of the two ancillas against
+sum_s |ss>: a state lowers to psi[a,b] = sum_s psi[a,s,b,s], an operator to
+sum_{s,t} M[(a,s,b,s),(c,t,d,t)], and an ensemble to the weighted sum of
+projectors onto its lowered members.  Lifted/lowered states are kept
 unnormalized; every identity below is stated for the raw vectors.
 """
 
@@ -27,16 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionError, ParameterError
-from .hilbert import (
-    ANCILLA_A,
-    ANCILLA_B,
-    Dims,
-    Operator,
-    PureState,
-    schmidt_decompose,
-)
-
-_TERM_TOL = 1e-12  # relative cutoff for Schmidt terms fed to the lowering maps
+from .hilbert import Dims, Operator, PureState, schmidt_decompose
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,11 @@ class LiftedOperator:
 
 
 def lift_state(psi: PureState, k: int) -> LiftedState:
-    """Embed ``psi`` into the space with ancilla dimension k on both sides."""
+    """Embed ``psi`` into the space with ancilla dimension k on both sides.
+
+    Schmidt term i goes to block i // k and ancilla slot i % k; the terms are
+    zero-padded to whole blocks and all blocks are summed in one contraction.
+    """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"ancilla dimension k must be a positive integer, got {k!r}")
     k = int(k)
@@ -68,17 +63,16 @@ def lift_state(psi: PureState, k: int) -> LiftedState:
     d = psi.dims
     form = schmidt_decompose(psi)
     n = form.rank
-    out = np.zeros((d.dA, k, d.dB, k), dtype=np.complex128)
-    for start in range(0, n, k):
-        block = range(start, min(start + k, n))
-        a_part = np.zeros((d.dA, k), dtype=np.complex128)
-        b_part = np.zeros((d.dB, k), dtype=np.complex128)
-        for i in block:
-            a_part[:, i - start] = form.basis_a[i]
-            b_part[:, i - start] = form.coefficients[i] * form.basis_b[i]
-        out += np.einsum("as,bt->asbt", a_part, b_part)
+    blocks = -(-n // k)
+    a_part = np.zeros((blocks * k, d.dA), dtype=np.complex128)
+    b_part = np.zeros((blocks * k, d.dB), dtype=np.complex128)
+    a_part[:n] = form.basis_a[:n]
+    b_part[:n] = form.coefficients[:n, None] * form.basis_b[:n]
+    out = np.einsum(
+        "nsa,ntb->asbt", a_part.reshape(blocks, k, d.dA), b_part.reshape(blocks, k, d.dB)
+    )
     lifted = PureState(d.with_ancillas(k), out.ravel())
-    return LiftedState(lifted, source_rank=n, block_count=-(-n // k))
+    return LiftedState(lifted, source_rank=n, block_count=blocks)
 
 
 def lift_operator(source: Operator, k: int) -> LiftedOperator:
@@ -100,56 +94,16 @@ def lift_operator(source: Operator, k: int) -> LiftedOperator:
     )
 
 
-def _lower_terms(a_form, b_form, dims: Dims) -> np.ndarray:
-    """Contract two internal Schmidt forms through the shared ancilla basis."""
-    overlap = np.einsum("li,mi->lm", a_form.basis_b, b_form.basis_b)
-    weighted_a = a_form.coefficients[:, None] * a_form.basis_a
-    weighted_b = b_form.coefficients[:, None] * b_form.basis_a
-    return np.einsum("la,lm,mb->ab", weighted_a, overlap, weighted_b).ravel()
-
-
-def lower_product_state(a: PureState, b: PureState, k: int) -> PureState:
-    """Map a product state of the enlarged space back to the original one.
-
-    Both factors are Schmidt-decomposed across their internal
-    (system | ancilla) split; the ancilla parts are paired through the
-    shared computational basis.  The output Schmidt rank never exceeds k.
-    """
-    if a.dims.kA != k or a.dims.b_dim != 1:
-        raise DimensionError(
-            f"A factor must carry ancilla dimension {k}, got dims {a.dims}"
-        )
-    if b.dims.kB != k or b.dims.a_dim != 1:
-        raise DimensionError(
-            f"B factor must carry ancilla dimension {k}, got dims {b.dims}"
-        )
-    a_form = schmidt_decompose(a, cut=ANCILLA_A)
-    b_form = schmidt_decompose(b, cut=ANCILLA_B)
-    dims = Dims(a.dims.dA, b.dims.dB)
-    return PureState(dims, _lower_terms(a_form, b_form, dims))
-
-
 def lower_state(psi: PureState, k: int) -> PureState:
-    """Map any pure state of the enlarged space back to the original one.
-
-    The state is Schmidt-decomposed across the (A.anc | B.anc) split and
-    each term is lowered like a product state, weighted by its coefficient.
-    """
+    """Map any pure state of the enlarged space back: sum_s psi[a,s,b,s]."""
     d = psi.dims
     if d.kA != k or d.kB != k:
         raise DimensionError(
             f"state has ancilla dims ({d.kA}, {d.kB}), expected ({k}, {k})"
         )
-    form = schmidt_decompose(psi)
-    out = np.zeros(d.dA * d.dB, dtype=np.complex128)
-    cutoff = _TERM_TOL * form.coefficients[0]
-    for i, coef in enumerate(form.coefficients):
-        if coef <= cutoff:
-            break
-        a = PureState(d.a_factor(), form.basis_a[i])
-        b = PureState(d.b_factor(), form.basis_b[i])
-        out += coef * lower_product_state(a, b, k).amplitudes
-    return PureState(Dims(d.dA, d.dB), out)
+    if psi.norm() == 0.0:
+        raise DegenerateStateError("cannot lower the zero vector")
+    return PureState(Dims(d.dA, d.dB), np.einsum("asbs->ab", psi.as_tensor()).ravel())
 
 
 def lower_operator(op: Operator, k: int) -> Operator:
@@ -178,7 +132,17 @@ def _check_ensemble(ensemble):
             raise ParameterError(f"ensemble weights must be >= 0, got {weight}")
         if state.dims != dims:
             raise DimensionError("all ensemble states must share the same dims")
+        if state.norm() == 0.0:
+            raise DegenerateStateError("ensemble states must be nonzero")
     return dims
+
+
+def _projector_sum(ensemble, vectors: np.ndarray) -> np.ndarray:
+    """sum_i w_i |v_i><v_i| = V^T diag(w) conj(V) over stacked rows v_i, as the
+    Gram product X^T conj(X) of X = diag(sqrt w) V, which is exactly Hermitian."""
+    weights = np.array([weight for weight, _ in ensemble], dtype=np.float64)
+    scaled = np.sqrt(weights)[:, None] * vectors
+    return scaled.T @ scaled.conj()
 
 
 def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
@@ -188,23 +152,20 @@ def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
     Tr(S rho) = Tr(lift(S) lift(rho-ensemble)) for any decomposition of rho.
     """
     dims = _check_ensemble(ensemble)
-    out = np.zeros((dims.total * k * k,) * 2, dtype=np.complex128)
-    for weight, state in ensemble:
-        vec = lift_state(state, k).state.amplitudes
-        out += weight * np.outer(vec, vec.conj())
-    return Operator(dims.with_ancillas(k), out, hermitian=True)
+    lifted = np.stack([lift_state(state, k).state.amplitudes for _, state in ensemble])
+    return Operator(dims.with_ancillas(k), _projector_sum(ensemble, lifted), hermitian=True)
 
 
 def lower_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
-    """Weighted sum of projectors onto the lowered ensemble states."""
+    """Weighted sum of projectors onto the lowered ensemble states.
+
+    All members are lowered by one batched contraction sum_s psi_n[a,s,b,s].
+    """
     dims = _check_ensemble(ensemble)
     if dims.kA != k or dims.kB != k:
         raise DimensionError(
             f"ensemble states have ancilla dims ({dims.kA}, {dims.kB}), expected {k}"
         )
-    small = Dims(dims.dA, dims.dB)
-    out = np.zeros((small.total, small.total), dtype=np.complex128)
-    for weight, state in ensemble:
-        vec = lower_state(state, k).amplitudes
-        out += weight * np.outer(vec, vec.conj())
-    return Operator(small, out, hermitian=True)
+    stacked = np.stack([state.as_tensor() for _, state in ensemble])
+    lowered = np.einsum("nasbs->nab", stacked).reshape(len(ensemble), -1)
+    return Operator(Dims(dims.dA, dims.dB), _projector_sum(ensemble, lowered), hermitian=True)

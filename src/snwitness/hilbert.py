@@ -24,11 +24,6 @@ HERMITICITY_TOL = 1e-10
 NORM_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 
-# split selectors for schmidt_decompose
-MAIN = "main"          # (A.ancA | B.ancB)
-ANCILLA_A = "ancA"     # (A | ancA), only for states living on the A factor
-ANCILLA_B = "ancB"     # (B | ancB), only for states living on the B factor
-
 
 @dataclass(frozen=True)
 class Dims:
@@ -198,23 +193,8 @@ def product_state(a: PureState, b: PureState) -> PureState:
     return PureState(dims, amps, normalized=normalized)
 
 
-def _split_shape(psi: PureState, cut: str) -> tuple[int, int]:
-    d = psi.dims
-    if cut == MAIN:
-        return d.a_dim, d.b_dim
-    if cut == ANCILLA_A:
-        if d.b_dim != 1:
-            raise DimensionError("ancA split requires a state on the A factor")
-        return d.dA, d.kA
-    if cut == ANCILLA_B:
-        if d.a_dim != 1:
-            raise DimensionError("ancB split requires a state on the B factor")
-        return d.dB, d.kB
-    raise ParameterError(f"unknown split selector {cut!r}")
-
-
-def schmidt_decompose(psi: PureState, cut: str = MAIN) -> SchmidtForm:
-    """Schmidt decomposition of ``psi`` across the selected split.
+def schmidt_decompose(psi: PureState) -> SchmidtForm:
+    """Schmidt decomposition of ``psi`` across the (A.ancA | B.ancB) split.
 
     Phase convention: coefficients are real and non-negative (descending),
     and the first entry of each left vector with modulus > 1e-12 is made
@@ -222,11 +202,10 @@ def schmidt_decompose(psi: PureState, cut: str = MAIN) -> SchmidtForm:
     vector.  The reconstruction then reproduces the input exactly, not just
     up to phase.
     """
-    m, n = _split_shape(psi, cut)
     vec = psi.amplitudes
     if np.linalg.norm(vec) == 0.0:
         raise DegenerateStateError("Schmidt decomposition of the zero vector")
-    matrix = vec.reshape(m, n)
+    matrix = vec.reshape(psi.dims.a_dim, psi.dims.b_dim)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     basis_a = u.T.copy()
     basis_b = vh.copy()

@@ -70,17 +70,6 @@ class OptimizerConfig:
             "zeroTol": self.zero_tol,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "OptimizerConfig":
-        return cls(
-            seed=data["seed"],
-            restarts=data["restarts"],
-            max_iters=data["maxIters"],
-            convergence_tol=data["convergenceTol"],
-            positivity_tol=data["positivityTol"],
-            zero_tol=data["zeroTol"],
-        )
-
 
 @dataclass(frozen=True)
 class ProductMinResult:

@@ -1,12 +1,22 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here is deliberately written via a different route than the
-implementation under test: partial traces instead of SVD, direct ancilla
-contraction instead of term-wise lowering, eigenvalue counting instead of
-Schmidt forms.
+implementation under test: partial traces instead of SVD, term-wise
+Schmidt lowering instead of the direct ancilla contraction, eigenvalue
+counting instead of Schmidt forms.  ``random_unit_hermitian`` is the one
+shared input generator: a Hermitian operator of unit Frobenius norm.
 """
 
 import numpy as np
+
+from snwitness import Operator
+
+
+def random_unit_hermitian(dims, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
+    h = g + g.conj().T
+    return Operator(dims, h / np.linalg.norm(h), hermitian=True)
 
 
 def reduced_density_a(state):
@@ -33,6 +43,24 @@ def contract_ancillas(state, k):
     d = state.dims
     t = state.amplitudes.reshape(d.dA, k, d.dB, k)
     return np.einsum("asbs->ab", t).ravel()
+
+
+def lower_state_by_schmidt(state, k):
+    """Lowering term by term: Schmidt-decompose across the (A.anc | B.anc)
+    split, split each term's factors again across (system | ancilla) and pair
+    the ancilla parts through the shared computational basis."""
+    d = state.dims
+    u, coefs, vh = np.linalg.svd(
+        state.amplitudes.reshape(d.dA * k, d.dB * k), full_matrices=False
+    )
+    out = np.zeros((d.dA, d.dB), dtype=complex)
+    for coef, a, b in zip(coefs, u.T, vh):
+        if coef <= 1e-12 * coefs[0]:
+            break
+        ua, sa, va = np.linalg.svd(a.reshape(d.dA, k), full_matrices=False)
+        ub, sb, vb = np.linalg.svd(b.reshape(d.dB, k), full_matrices=False)
+        out += coef * (ua * sa) @ (va @ vb.T) @ (ub * sb).T
+    return out.ravel()
 
 
 def lower_operator_by_isometry(matrix, dA, dB, k):

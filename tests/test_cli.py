@@ -220,6 +220,22 @@ def test_verify_unknown_suite():
     assert run_cli("verify", "--suite", "nope") == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each once reported "pass": true with exit 0, the value unused
+        ["--suite", "roundtrip", "--trials", "-3"],
+        ["--suite", "roundtrip", "--trials", "0"],
+        ["--suite", "oracle", "--trials", "1", "--tol", "-1"],
+        ["--suite", "roundtrip", "--trials", "2", "--restarts", "-5"],
+    ],
+)
+def test_verify_rejects_vacuous_or_ignored_arguments(capsys, argv):
+    assert run_cli("verify", *argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_reports_roundtrip_through_json(tmp_path):
     out = tmp_path / "report.json"
     run_cli(

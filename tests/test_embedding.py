@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snwitness import (
+    DegenerateStateError,
     DimensionError,
     Dims,
     Operator,
@@ -15,7 +18,6 @@ from snwitness import (
     lift_state,
     lower_ensemble,
     lower_operator,
-    lower_product_state,
     lower_state,
     maximally_entangled_state,
     random_hermitian,
@@ -26,7 +28,13 @@ from snwitness import (
 )
 from snwitness.hilbert import a_factor_state, b_factor_state, product_state
 
-from oracles import contract_ancillas, lower_operator_by_isometry, rank_from_reduced
+from oracles import (
+    contract_ancillas,
+    lower_operator_by_isometry,
+    lower_state_by_schmidt,
+    random_unit_hermitian,
+    rank_from_reduced,
+)
 
 D33 = Dims(3, 3)
 
@@ -166,7 +174,7 @@ def test_lower_product_with_aligned_ancillas():
     anc = np.array([1.0, 0.0])
     a = a_factor_state(np.kron(a_sys, anc), dims, normalized=True)
     b = b_factor_state(np.kron(b_sys, anc), dims, normalized=True)
-    lowered = lower_product_state(a, b, 2)
+    lowered = lower_state(product_state(a, b), 2)
     assert np.abs(lowered.amplitudes - np.kron(a_sys, b_sys)).max() < 1e-12
 
 
@@ -184,7 +192,7 @@ def test_lower_product_inverts_lift_of_low_rank_states():
             b_part[:, i] = form.coefficients[i] * form.basis_b[i]
         a = a_factor_state(a_part.ravel(), dims)
         b = b_factor_state(b_part.ravel(), dims)
-        lowered = lower_product_state(a, b, k)
+        lowered = lower_state(product_state(a, b), k)
         assert np.abs(lowered.amplitudes - psi.amplitudes).max() < 1e-10
 
 
@@ -192,10 +200,12 @@ def test_lower_product_rank_bound_and_contraction_oracle():
     for t in range(50):
         dims = D33.with_ancillas(2)
         a, b = random_factor_pair(dims, (40, t))
-        lowered = lower_product_state(a, b, 2)
+        lowered = lower_state(product_state(a, b), 2)
         assert rank_from_reduced(lowered) <= 2
         direct = contract_ancillas(product_state(a, b), 2)
         assert np.abs(lowered.amplitudes - direct).max() < 1e-12
+        by_schmidt = lower_state_by_schmidt(product_state(a, b), 2)
+        assert np.abs(lowered.amplitudes - by_schmidt).max() < 1e-12
 
 
 def test_lower_product_ancilla_mismatch():
@@ -204,7 +214,7 @@ def test_lower_product_ancilla_mismatch():
     a, _ = random_factor_pair(dims2, 41)
     _, b = random_factor_pair(dims3, 42)
     with pytest.raises(DimensionError):
-        lower_product_state(a, b, 2)
+        lower_state(product_state(a, b), 2)
 
 
 def test_lower_state_roundtrip_all_ranks():
@@ -218,13 +228,13 @@ def test_lower_state_roundtrip_all_ranks():
     assert worst < 1e-10
 
 
-def test_lower_state_matches_contraction_oracle():
+def test_lower_state_matches_schmidt_oracle():
     for t in range(50):
         k = 2 + t % 2
         dims = D33.with_ancillas(k)
         psi = random_pure_state(dims, rank=1 + t % 4, seed=(44, t))
         lowered = lower_state(psi, k)
-        assert np.abs(lowered.amplitudes - contract_ancillas(psi, k)).max() < 1e-10
+        assert np.abs(lowered.amplitudes - lower_state_by_schmidt(psi, k)).max() < 1e-10
 
 
 def test_lower_state_handles_degenerate_blocks():
@@ -242,6 +252,11 @@ def test_lower_state_requires_matching_ancillas():
     psi = random_pure_state(D33.with_ancillas(2), rank=2, seed=45)
     with pytest.raises(DimensionError):
         lower_state(psi, 3)
+
+
+def test_lower_state_rejects_the_zero_vector():
+    with pytest.raises(DegenerateStateError):
+        lower_state(PureState(D33.with_ancillas(2), np.zeros(36)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +342,20 @@ def test_lower_ensemble_inverts_lifted_mixture():
     assert np.abs(theta.matrix - original.matrix).max() < 1e-10
 
 
+def test_lower_ensemble_matches_schmidt_oracle():
+    for t in range(20):
+        d_a, d_b, k = 2 + t % 2, 3 - t % 2, 2 + t % 3
+        dims = Dims(d_a, d_b, k, k)
+        ensemble = random_ensemble(dims, (62, t), max_rank=min(dims.a_dim, dims.b_dim))
+        expected = np.zeros((d_a * d_b,) * 2, dtype=complex)
+        for p, state in ensemble:
+            vec = lower_state_by_schmidt(state, k)
+            expected += p * np.outer(vec, vec.conj())
+        theta = lower_ensemble(ensemble, k)
+        assert theta.dims == Dims(d_a, d_b) and theta.hermitian
+        assert np.abs(theta.matrix - expected).max() < 1e-10
+
+
 def test_lower_operator_is_the_ensemble_lowering_on_mixtures():
     k = 2
     dims = D33.with_ancillas(k)
@@ -376,3 +405,45 @@ def test_matrix_elements_match_lowered_pairs():
         rhs = np.vdot(low_left.amplitudes, s.matrix @ low_right.amplitudes)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# properties at dA != dB, with Schmidt ranks above k (multi-block lifts)
+
+
+@st.composite
+def embedding_problems(draw):
+    d_a = draw(st.integers(1, 4))
+    d_b = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, min(d_a, d_b)))
+    return Dims(d_a, d_b), k, rank, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(embedding_problems())
+def test_lift_lower_properties(problem):
+    dims, k, rank, seed = problem
+    psi = random_pure_state(dims, rank, seed=(seed, 0))
+    s = random_unit_hermitian(dims, (seed, 1))
+    lifted = lift_state(psi, k)
+    lifted_s = lift_operator(s, k).operator
+    assert lifted.block_count == -(-rank // k)
+    assert rank_from_reduced(lifted.state) == lifted.block_count
+    assert np.abs(lower_state(lifted.state, k).amplitudes - psi.amplitudes).max() < 1e-10
+    assert abs(expectation(lifted_s, lifted.state) - expectation(s, psi)) < 1e-10
+
+    ensemble = random_ensemble(dims, (seed, 2), count=3, max_rank=rank)
+    gamma = lift_ensemble(ensemble, k)
+    expected = np.zeros_like(gamma.matrix)
+    for p, member in ensemble:
+        vec = lift_state(member, k).state.amplitudes
+        expected += p * np.outer(vec, vec.conj())
+    assert np.abs(gamma.matrix - expected).max() < 1e-12
+
+    big = dims.with_ancillas(k)
+    big_ensemble = random_ensemble(big, (seed, 3), max_rank=min(big.a_dim, big.b_dim))
+    theta = lower_ensemble(big_ensemble, k)
+    theta_big = ensemble_operator(big, big_ensemble)
+    assert abs(trace_pair(lifted_s, theta_big) - trace_pair(s, theta)) < 1e-10
+    assert np.abs(theta.matrix - lower_operator(theta_big, k).matrix).max() < 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lifted_seesaw_min
+from oracles import lifted_seesaw_min, random_unit_hermitian
 from snwitness import (
     DimensionError,
     Dims,
@@ -135,13 +135,6 @@ def test_seesaw_monotone_on_lifted_operator():
     assert value >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
 
 
-def random_unit_hermitian(dims, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
-    h = g + g.conj().T
-    return Operator(dims, h / np.linalg.norm(h), hermitian=True)
-
-
 @st.composite
 def rank_k_problems(draw):
     d_a = draw(st.sampled_from([2, 3, 4]))
@@ -187,11 +180,6 @@ def test_config_validation():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
                 OptimizerConfig(**{name: bad})
-
-
-def test_config_json_roundtrip():
-    cfg = OptimizerConfig(seed=5, restarts=8, max_iters=99)
-    assert OptimizerConfig.from_json(cfg.to_json()) == cfg
 
 
 # ---------------------------------------------------------------------------
