@@ -13,8 +13,8 @@ from .witness import (
     POSITIVE,
     OptimizerConfig,
     WitnessClassification,
+    _level_minimum,
     classify_schmidt_witness,
-    min_product_expectation,
 )
 
 
@@ -119,7 +119,7 @@ def _verdict_label(classification: WitnessClassification) -> str:
 
 
 def _product_min_at_level(family, a: float, level: int, config) -> float:
-    return min_product_expectation(family(a), config, k=level).value
+    return _level_minimum(family(a), level, config)[0]
 
 
 def threshold_scan(

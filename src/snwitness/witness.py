@@ -51,6 +51,9 @@ class OptimizerConfig:
     zero_tol: float = 1e-6
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
         if self.restarts < 1:
             raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
@@ -112,7 +115,10 @@ class WitnessClassification:
     lowest Schmidt class it detects: the per-level product minima stay above
     -tol for every ancilla level l <= k-1 and dip below -tol at level k.
     k = 1 means the operator is negative already on a product state, i.e. it
-    is not a valid witness of any Schmidt class.
+    is not a valid witness of any Schmidt class.  Levels below min(dA, dB)
+    hold the rank-l see-saw minimum (psi = A B^T with unit-norm factors, so
+    positive minima sit near 0); level min(dA, dB) holds ``min_eigenvalue``,
+    since every state has Schmidt rank at most min(dA, dB).
     """
 
     verdict: str
@@ -262,6 +268,24 @@ def is_entanglement_witness(w: Operator, config: OptimizerConfig) -> WitnessChec
     )
 
 
+def _level_minimum(
+    s: Operator, level: int, config: OptimizerConfig, eigenpair=None
+) -> tuple[float, PureState, bool]:
+    """Minimum of <psi|S|psi> over psi of Schmidt rank <= level, its minimizer
+    and whether the search converged, for S without ancillas.
+
+    Every state has Schmidt rank <= min(dA, dB), so at that level the answer
+    is the smallest eigenvalue and its unit eigenvector (``eigenpair`` when
+    the caller already has it) and no see-saw runs.  Below it, the rank-level
+    see-saw gives the lowered minimizer A B^T, of norm <= 1.
+    """
+    if level == min(s.dims.dA, s.dims.dB):
+        value, vector = min_eigenpair(s) if eigenpair is None else eigenpair
+        return value, vector, True
+    result = min_product_expectation(s, config, k=level)
+    return result.value, result.lowered(), result.converged
+
+
 def classify_schmidt_witness(
     s: Operator, max_k: int | None = None, config: OptimizerConfig = OptimizerConfig()
 ) -> WitnessClassification:
@@ -271,7 +295,9 @@ def classify_schmidt_witness(
     operator) are scanned level by level; the witness order k is the first
     level whose minimum drops below -positivity_tol.  The detected state is
     the normalized contraction of that level's minimizer, a state of Schmidt
-    rank <= k with a negative expectation value.
+    rank <= k with a negative expectation value.  Level min(dA, dB) is read
+    from the spectrum: its value is the smallest eigenvalue and its detected
+    state the eigenvector, so the ladder never runs the see-saw there.
     """
     if not s.dims.unextended:
         raise DimensionError("classification expects an operator without ancillas")
@@ -280,22 +306,23 @@ def classify_schmidt_witness(
         max_k = limit
     if max_k < 1 or max_k > limit:
         raise ParameterError(f"max_k must be in [1, {limit}], got {max_k}")
-    min_eig, _ = min_eigenpair(s)
+    eigenpair = min_eigenpair(s)
+    min_eig = eigenpair[0]
     tol = config.positivity_tol
     if min_eig >= -tol:
         return WitnessClassification(POSITIVE, None, min_eig, {}, None)
     per_level: dict[int, float] = {}
     converged = True
     for level in range(1, max_k + 1):
-        result = min_product_expectation(s, config, k=level)
-        per_level[level] = result.value
-        converged = converged and result.converged
-        if result.value < -tol:
-            detected = normalize(result.lowered())
+        value, minimizer, level_converged = _level_minimum(s, level, config, eigenpair)
+        per_level[level] = value
+        converged = converged and level_converged
+        if value < -tol:
+            detected = normalize(minimizer)
             return WitnessClassification(
                 SCHMIDT_WITNESS, level, min_eig, per_level, detected, converged
             )
-    # negative eigenvalue exists but no level up to max_k detects it
+    # negative eigenvalue exists but no level up to max_k < min(dA, dB) detects it
     return WitnessClassification(
         SCHMIDT_WITNESS, max_k + 1, min_eig, per_level, None, converged
     )

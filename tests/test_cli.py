@@ -236,6 +236,21 @@ def test_verify_rejects_vacuous_or_ignored_arguments(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # both once died in numpy's seeding with a traceback and exit 1
+        ["classify", "--family", "isotropic", "--a", "0.2", "--dim", "3",
+         "--restarts", "2", "--seed", "-1"],
+        ["verify", "--suite", "roundtrip", "--trials", "2", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_reports_roundtrip_through_json(tmp_path):
     out = tmp_path / "report.json"
     run_cli(

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import lifted_seesaw_min, random_unit_hermitian
+import snwitness.witness as witness
 from snwitness import (
     DimensionError,
     Dims,
@@ -32,6 +33,7 @@ from snwitness import (
     refine_by_subtraction,
     schmidt_rank,
     subtract,
+    threshold_scan,
     trace_pair,
 )
 from snwitness.families import IsotropicWitnessSpec
@@ -162,6 +164,53 @@ def test_rank_k_kernel_matches_lifted_seesaw(problem):
     assert np.abs(result.lowered().amplitudes - psi.amplitudes).max() == 0.0
 
 
+@st.composite
+def rank_one_dips(draw):
+    """S = c I - a |phi><phi| on dA x dB with dA != dB and a random unit phi.
+
+    Its minimum over unit states of Schmidt rank <= l is
+    m_l = c - a (lambda_1^2 + ... + lambda_l^2) in the Schmidt coefficients of
+    phi; c/a is drawn inside a chosen gap of those partial sums, so every
+    witness order 1..min(dA, dB) and the positive case all come up.
+    """
+    d_a, d_b = draw(st.permutations([2, 3, 4]))[:2]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+    phi /= np.linalg.norm(phi)
+    sums = np.cumsum(np.linalg.svd(phi.reshape(d_a, d_b), compute_uv=False) ** 2)
+    gap = draw(st.integers(0, len(sums)))
+    edges = np.concatenate([[0.0], sums, [1.5]])
+    ratio = edges[gap] + draw(st.floats(0.05, 0.95)) * (edges[gap + 1] - edges[gap])
+    a = draw(st.floats(0.2, 1.0))
+    matrix = a * ratio * np.eye(d_a * d_b) - a * np.outer(phi, phi.conj())
+    s = Operator(Dims(d_a, d_b), matrix, hermitian=True)
+    return s, a * (ratio - sums), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(rank_one_dips())
+def test_classification_matches_the_rank_k_oracle(problem):
+    s, oracle, seed = problem
+    assume(np.all(np.abs(oracle) > 1e-3))
+    config = OptimizerConfig(seed=seed, restarts=8)
+    tol = config.positivity_tol
+    cls = classify_schmidt_witness(s, config=config)
+    full = len(oracle)
+    negative = np.flatnonzero(oracle < 0)
+    if negative.size:
+        assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, int(negative[0]) + 1)
+    else:
+        assert (cls.verdict, cls.k) == (POSITIVE, None)
+    for level, value in cls.per_level_product_min.items():
+        m = oracle[level - 1]
+        if level < full:
+            # psi = A B^T has norm <= 1, so the value is at least min(m, 0)
+            assert value >= min(m, 0.0) - 1e-9
+            assert (value < -tol) == (m < 0)
+        else:
+            assert value == cls.min_eigenvalue
+
+
 def test_rank_k_minimum_needs_an_operator_without_ancillas():
     with pytest.raises(DimensionError):
         min_product_expectation(lift_operator(isotropic(0.2), 2).operator, CFG, k=2)
@@ -180,6 +229,10 @@ def test_config_validation():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
                 OptimizerConfig(**{name: bad})
+    for bad in (-1, 1.5, True, None):
+        with pytest.raises(ParameterError):
+            OptimizerConfig(seed=bad)
+    assert OptimizerConfig(seed=np.int64(3)).seed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +310,33 @@ def test_classify_isotropic_at_dimension_six():
     assert (cls.verdict, cls.k, cls.converged) == (SCHMIDT_WITNESS, 6, True)
     assert all(cls.per_level_product_min[l] >= -config.positivity_tol for l in range(1, 6))
     assert abs(cls.per_level_product_min[1] - (1 / 36 - 0.03 / 6) / 0.97) < 1e-8
-    # the minimizer is the maximally entangled direction, and |A B^T|^2 <= 1/6
-    # there for unit-norm factors
-    assert abs(cls.per_level_product_min[6] - cls.min_eigenvalue / 6) < 1e-8
+    # level 6 covers every state, so it is the smallest eigenvalue itself
+    assert cls.per_level_product_min[6] == cls.min_eigenvalue
     assert schmidt_rank(cls.detected_state) == 6
+
+
+def test_the_kernel_never_runs_at_the_full_rank_level(monkeypatch):
+    levels = []
+    kernel = witness._seesaw
+
+    def recording(s4, k, *args):
+        levels.append(k)
+        return kernel(s4, k, *args)
+
+    monkeypatch.setattr(witness, "_seesaw", recording)
+    # 1/16 < a <= 1/12: non-negative on Schmidt rank <= 3, negative at rank 4
+    cls = classify_schmidt_witness(isotropic(0.07, d=4), config=OptimizerConfig(restarts=8))
+    assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, 4)
+    assert levels == [1, 2, 3]
+    assert cls.per_level_product_min[4] == cls.min_eigenvalue
+    detected = expectation(isotropic(0.07, d=4), cls.detected_state)
+    assert abs(detected - cls.min_eigenvalue) < 1e-12
+    levels.clear()
+    # positive, 2-SW and 1-SW rows; level 2 is filled in where the ladder stopped
+    scan = threshold_scan([0.1, 0.3, 0.6], d=2, config=OptimizerConfig(restarts=8))
+    assert [row.verdict for row in scan.rows] == [POSITIVE, "2-SW", "1-SW"]
+    assert all(row.product_min[2] == row.min_eigenvalue for row in scan.rows)
+    assert set(levels) == {1}
 
 
 def test_classify_respects_max_k():
