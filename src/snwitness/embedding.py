@@ -84,9 +84,11 @@ def lift_operator(source: Operator, k: int) -> LiftedOperator:
         raise DimensionError("lift_operator expects an operator without ancillas")
     d = source.dims
     s4 = source.matrix.reshape(d.dA, d.dB, d.dA, d.dB)
-    eye = np.eye(k)
-    anc = np.einsum("ab,cd->abcd", eye, eye)  # row ancillas equal, col ancillas equal
-    big = np.einsum("ijlm,abcd->iajblcmd", s4, anc)
+    # one copy of S wherever the row ancillas agree and the column ancillas agree
+    big = np.zeros((d.dA, k, d.dB, k) * 2, dtype=np.complex128)
+    for s in range(k):
+        for t in range(k):
+            big[:, s, :, s, :, t, :, t] = s4
     dims = d.with_ancillas(k)
     matrix = big.reshape(dims.total, dims.total)
     return LiftedOperator(

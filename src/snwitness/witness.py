@@ -2,15 +2,17 @@
 classification, subtraction-based refinement and optimality certificates.
 
 The central primitive is ``min_product_expectation``: the infimum of
-<A,B|W|A,B> over unit product states, or over states of Schmidt rank <= k
-(the product states of the lifted operator).  Fixing one factor turns the
-problem into an exact eigenproblem for the other, whose operator is
-contracted straight from the (dA, dB, dA, dB) tensor of W, so the
-optimizer alternates exact half-steps over all restarts at once; the
-per-iteration value is non-increasing.  Certification is one-sided: the
-optimizer yields an upper bound on the true infimum, so "non-negative on
-products" verdicts carry the restart count as evidence and are validated
-against brute force at small dimensions (see ``checks``).
+<A,B|W|A,B> over unit product states, or over unit states
+psi = sum_s A[:,s] (x) B[:,s] of Schmidt rank <= k (the product states of
+the lifted operator, measured against the lift of the identity).  Fixing
+one factor, with orthonormal columns for k > 1, turns the problem into an
+exact eigenproblem for the other, whose operator is contracted straight
+from the (dA, dB, dA, dB) tensor of W, so the optimizer alternates exact
+half-steps over all restarts at once; the per-iteration value is
+non-increasing.  Certification is one-sided: the optimizer yields an upper
+bound on the true infimum, so "non-negative on products" verdicts carry the
+restart count as evidence and are validated against brute force at small
+dimensions (see ``checks``).
 """
 
 from __future__ import annotations
@@ -76,7 +78,11 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class ProductMinResult:
-    """Best product-state minimum found by the see-saw, with its minimizers."""
+    """Best product-state minimum found by the see-saw, with its minimizers.
+
+    For k > 1 the factors are not both unit vectors (see
+    ``min_product_expectation``); ``lowered()`` is the unit minimizer.
+    """
 
     value: float
     arg_a: PureState
@@ -115,10 +121,11 @@ class WitnessClassification:
     lowest Schmidt class it detects: the per-level product minima stay above
     -tol for every ancilla level l <= k-1 and dip below -tol at level k.
     k = 1 means the operator is negative already on a product state, i.e. it
-    is not a valid witness of any Schmidt class.  Levels below min(dA, dB)
-    hold the rank-l see-saw minimum (psi = A B^T with unit-norm factors, so
-    positive minima sit near 0); level min(dA, dB) holds ``min_eigenvalue``,
-    since every state has Schmidt rank at most min(dA, dB).
+    is not a valid witness of any Schmidt class.  Level l holds the minimum
+    of <psi|S|psi> over unit states of Schmidt rank <= l, so the levels are
+    non-increasing in l: below min(dA, dB) it is the rank-l see-saw minimum,
+    and level min(dA, dB) holds ``min_eigenvalue``, since every state has
+    Schmidt rank at most min(dA, dB).
     """
 
     verdict: str
@@ -168,14 +175,20 @@ def _starts(config: OptimizerConfig, n: int, *salt) -> np.ndarray:
 def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float):
     """Rank-k see-saw on the (dA, dB, dA, dB) tensor of S, all restarts at once.
 
-    Minimizes <psi|S|psi> over psi = sum_s A[:,s] (x) B[:,s] with A (dA x k)
-    and B (dB x k) of unit Frobenius norm, from one start A per row of
-    ``starts``.  Each half-step solves one factor exactly with the other
-    fixed, by one stacked ``eigh`` over the restarts still active; a restart
-    leaves the stack once its value drops by less than ``tol`` in an
-    iteration.  Returns (values, A, B, converged, history): per-restart final
-    values, factors and flags, and per iteration an (R, 2) array of the two
-    half-step values (NaN for restarts that had already stopped).
+    Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
+    with A (dA x k) and B (dB x k), from one start A per row of ``starts``;
+    needs k <= min(dA, dB).  Each half-step solves one factor exactly with
+    the other fixed, by one stacked ``eigh`` over the restarts still active.
+    For k > 1 the fixed factor is first replaced by the Q of its QR
+    decomposition: that keeps psi, and with orthonormal columns
+    ||psi|| = ||free factor||_F, so the unit eigenvector is the exact
+    minimum over unit states of Schmidt rank <= k with the fixed span.  A
+    restart leaves the stack once its value drops by less than ``tol`` in
+    an iteration.  Returns (values, A, B, converged, history): per-restart
+    final values, factors (A of unit norm; B of unit norm for k = 1 and
+    with orthonormal columns for k > 1, so A B^T is a unit state) and flags,
+    and per iteration an (R, 2) array of the two half-step values (NaN for
+    restarts that had already stopped).
     """
     da, db = s4.shape[0], s4.shape[1]
     swapped = s4.transpose(1, 0, 3, 2)
@@ -188,8 +201,12 @@ def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float):
     active = np.arange(r)
     history = []
     for _ in range(max_iters):
+        if k > 1:
+            a[active] = np.linalg.qr(a[active])[0]
         vals_b, vecs_b = np.linalg.eigh(_conditional(s4, a[active]))
         b[active] = vecs_b[:, :, 0].reshape(-1, db, k)
+        if k > 1:
+            b[active] = np.linalg.qr(b[active])[0]
         vals_a, vecs_a = np.linalg.eigh(_conditional(swapped, b[active]))
         a[active] = vecs_a[:, :, 0].reshape(-1, da, k)
         step = np.full((r, 2), np.nan)
@@ -225,16 +242,22 @@ def min_product_expectation(
     """Minimize <A,B|W|A,B> over unit product states by restarted see-saw.
 
     With k = 1 the product split is the operator's own (a_dim | b_dim) split,
-    so lifted operators work too.  With k > 1, W must carry no ancillas and
-    the minimum runs over states of Schmidt rank <= k: the product minimum
-    of ``lift_operator(W, k)``, found without building it.  The factors
-    ``arg_a`` and ``arg_b`` then live on the ancilla-extended factors.
+    so lifted operators work too.  With 1 < k <= min(dA, dB), W must carry
+    no ancillas and the minimum runs over unit states of Schmidt rank <= k:
+    the minimum of <L|lift(W)|L> / <L|lift(I)|L> over product states L of
+    the lifted space, found without building the lift.  The factors
+    ``arg_a`` and ``arg_b`` then live on the ancilla-extended factors:
+    ``arg_a`` has unit norm and ``arg_b`` orthonormal columns (norm sqrt(k)),
+    so ``lowered()`` is the unit minimizer A B^T.
     """
     _require_hermitian(w)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k > 1 and not w.dims.unextended:
         raise DimensionError("rank-k minimization expects an operator without ancillas")
+    limit = min(w.dims.dA, w.dims.dB)
+    if k > limit:
+        raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     dims = w.dims.with_ancillas(k) if k > 1 else w.dims
     values, a, b, converged, _ = _seesaw(
         w.as_tensor(),
@@ -247,7 +270,7 @@ def min_product_expectation(
     return ProductMinResult(
         value=float(values[best]),
         arg_a=a_factor_state(a[best].ravel(), dims, normalized=True),
-        arg_b=b_factor_state(b[best].ravel(), dims, normalized=True),
+        arg_b=b_factor_state(b[best].ravel(), dims, normalized=k == 1),
         restarts_used=config.restarts,
         converged=bool(converged[best]),
         trace=tuple(float(v) for v in values),
@@ -274,12 +297,12 @@ def _level_minimum(
     """Minimum of <psi|S|psi> over psi of Schmidt rank <= level, its minimizer
     and whether the search converged, for S without ancillas.
 
-    Every state has Schmidt rank <= min(dA, dB), so at that level the answer
-    is the smallest eigenvalue and its unit eigenvector (``eigenpair`` when
-    the caller already has it) and no see-saw runs.  Below it, the rank-level
-    see-saw gives the lowered minimizer A B^T, of norm <= 1.
+    Every state has Schmidt rank <= min(dA, dB), so from that level on the
+    answer is the smallest eigenvalue and its unit eigenvector (``eigenpair``
+    when the caller already has it) and no see-saw runs.  Below it, the
+    rank-level see-saw gives the unit minimizer A B^T.
     """
-    if level == min(s.dims.dA, s.dims.dB):
+    if level >= min(s.dims.dA, s.dims.dB):
         value, vector = min_eigenpair(s) if eigenpair is None else eigenpair
         return value, vector, True
     result = min_product_expectation(s, config, k=level)

@@ -72,19 +72,53 @@ def lower_operator_by_isometry(matrix, dA, dB, k):
     return v.T @ matrix @ v
 
 
+def lift_operator_by_einsum(matrix, dA, dB, k):
+    """Operator lifting as one 8-index contraction of S with the ancilla
+    pattern delta_ab delta_cd: sum_{s,t} S (x) |ss><tt|."""
+    eye = np.eye(k)
+    anc = np.einsum("ab,cd->abcd", eye, eye)
+    big = np.einsum("ijlm,abcd->iajblcmd", matrix.reshape(dA, dB, dA, dB), anc)
+    return big.reshape(dA * k * dB * k, dA * k * dB * k)
+
+
+def _min_ratio(p, q):
+    """Smallest eigenpair of the pencil (P, Q) for positive definite Q, by
+    Cholesky whitening: P v = lambda Q v with <v|Q|v> = 1."""
+    chol = np.linalg.cholesky(q)
+    inv = np.linalg.inv(chol)
+    vals, vecs = np.linalg.eigh(inv @ p @ inv.conj().T)
+    return float(vals[0]), inv.conj().T @ vecs[:, 0]
+
+
 def lifted_seesaw_min(s, k, config):
-    """Rank-k minimum the pre-kernel way: lift S, then one see-saw per restart.
+    """Rank-k minimum the lifted way: lift S and the identity, then one
+    normalized see-saw per restart.
 
-    Each restart runs alternating exact half-steps on the lifted operator
-    from the library's start vectors (seed (config.seed, r)) and stops once
-    an iteration lowers the value by less than config.convergence_tol.
-    Returns (best value, per-restart values, converged flag of the best).
+    Each restart alternates exact half-steps from the library's start
+    vectors (seed (config.seed, r)).  A half-step fixes one factor of the
+    lifted product state |a, b> and minimizes the ratio
+    <a,b|lift(S)|a,b> / <a,b|lift(I)|a,b> over the other, as the generalized
+    eigenproblem of the two conditional operators; the denominator is
+    <psi|psi> for the lowered state psi, so this is the minimum over unit
+    states of Schmidt rank <= k.  A restart stops once an iteration lowers
+    the value by less than config.convergence_tol.  Returns (best value,
+    per-restart values, converged flag of the best).
     """
-    from snwitness import lift_operator
+    from snwitness import Operator, lift_operator
 
-    big = lift_operator(s, k).operator
-    d = big.dims
-    w4 = big.matrix.reshape(d.a_dim, d.b_dim, d.a_dim, d.b_dim)
+    identity = Operator(s.dims, np.eye(s.dims.total), hermitian=True)
+    d = s.dims.with_ancillas(k)
+    shape = (d.a_dim, d.b_dim, d.a_dim, d.b_dim)
+    w4 = lift_operator(s, k).operator.matrix.reshape(shape)
+    n4 = lift_operator(identity, k).operator.matrix.reshape(shape)
+
+    def on_b(t4, a):
+        return np.tensordot(np.tensordot(a.conj(), t4, axes=(0, 0)), a, axes=(1, 0))
+
+    def on_a(t4, b):
+        t = np.tensordot(t4, b, axes=(3, 0)).transpose(1, 0, 2)
+        return np.tensordot(b.conj(), t, axes=(0, 0))
+
     values, flags = [], []
     for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
@@ -92,11 +126,8 @@ def lifted_seesaw_min(s, k, config):
         a /= np.linalg.norm(a)
         prev, converged = np.inf, False
         for _ in range(config.max_iters):
-            cond_b = np.tensordot(np.tensordot(a.conj(), w4, axes=(0, 0)), a, axes=(1, 0))
-            b = np.linalg.eigh(cond_b)[1][:, 0]
-            t = np.tensordot(w4, b, axes=(3, 0)).transpose(1, 0, 2)
-            vals, vecs = np.linalg.eigh(np.tensordot(b.conj(), t, axes=(0, 0)))
-            a, value = vecs[:, 0], float(vals[0])
+            _, b = _min_ratio(on_b(w4, a), on_b(n4, a))
+            value, a = _min_ratio(on_a(w4, b), on_a(n4, b))
             if prev - value < config.convergence_tol:
                 converged = True
                 break

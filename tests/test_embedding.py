@@ -30,6 +30,7 @@ from snwitness.hilbert import a_factor_state, b_factor_state, product_state
 
 from oracles import (
     contract_ancillas,
+    lift_operator_by_einsum,
     lower_operator_by_isometry,
     lower_state_by_schmidt,
     random_unit_hermitian,
@@ -132,6 +133,14 @@ def test_lift_operator_level_one_is_identity():
     lifted = lift_operator(s, 1).operator
     assert np.abs(lifted.matrix - s.matrix).max() < 1e-15
     assert lifted.dims == Dims(3, 3, 1, 1)
+
+
+def test_lift_operator_matches_einsum_oracle():
+    shapes = [(2, 3, 1), (3, 2, 2), (3, 3, 3), (4, 4, 3), (2, 4, 4)]
+    for t, (d_a, d_b, k) in enumerate(shapes):
+        s = random_hermitian(Dims(d_a, d_b), seed=(38, t))
+        lifted = lift_operator(s, k).operator.matrix
+        assert np.array_equal(lifted, lift_operator_by_einsum(s.matrix, d_a, d_b, k))
 
 
 def test_lift_operator_trace_scaling():

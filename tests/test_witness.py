@@ -204,11 +204,46 @@ def test_classification_matches_the_rank_k_oracle(problem):
     for level, value in cls.per_level_product_min.items():
         m = oracle[level - 1]
         if level < full:
-            # psi = A B^T has norm <= 1, so the value is at least min(m, 0)
-            assert value >= min(m, 0.0) - 1e-9
+            # the kernel minimizes over unit states of Schmidt rank <= level
+            assert abs(value - m) <= 1e-8
             assert (value < -tol) == (m < 0)
         else:
             assert value == cls.min_eigenvalue
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_isotropic_levels_match_the_closed_form(d):
+    # 1/d^2 < a < 1/(d(d-1)): the best overlap of a unit state of Schmidt
+    # rank <= l with the maximally entangled state is l/d, so level l is
+    # (1/d^2 - a l/d)/(1 - a): non-negative for l < d, negative at l = d
+    a = (1 / d**2 + 1 / (d * (d - 1))) / 2
+    s = isotropic(a, d=d)
+    config = OptimizerConfig(restarts=8)
+    cls = classify_schmidt_witness(s, config=config)
+    assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, d)
+    levels = [cls.per_level_product_min[l] for l in range(1, d + 1)]
+    for level, value in enumerate(levels[:-1], start=1):
+        assert abs(value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-9
+        result = min_product_expectation(s, config, k=level)
+        state = result.lowered()
+        assert abs(state.norm() - 1) < 1e-12
+        assert schmidt_rank(state) <= level
+        assert abs(expectation(s, state) - result.value) < 1e-12
+    assert levels[-1] == cls.min_eigenvalue
+    assert np.all(np.diff(levels) <= 0)
+    assert abs(cls.detected_state.norm() - 1) < 1e-12
+    assert schmidt_rank(cls.detected_state) <= cls.k
+
+
+def test_rank_k_minimum_needs_k_at_most_the_smaller_factor():
+    s = random_unit_hermitian(Dims(2, 4), seed=68)
+    assert min_product_expectation(s, CFG, k=2).value >= min_eigenpair(s)[0] - 1e-9
+    with pytest.raises(ParameterError):
+        min_product_expectation(s, CFG, k=3)
+    # a scan level above min(dA, dB) covers every state: the smallest eigenvalue
+    config = OptimizerConfig(restarts=4)
+    scan = threshold_scan([0.1, 0.3], d=2, config=config, levels=(1, 3))
+    assert all(row.product_min[3] == row.min_eigenvalue for row in scan.rows)
 
 
 def test_rank_k_minimum_needs_an_operator_without_ancillas():
