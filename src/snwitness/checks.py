@@ -19,8 +19,15 @@ from .embedding import (
     lower_state,
 )
 from .errors import ParameterError
-from .hilbert import Dims, Operator, PureState, product_state, trace_pair
-from .families import random_hermitian, random_pure_state
+from .hilbert import (
+    Dims,
+    Operator,
+    PureState,
+    product_state,
+    random_pure_state,
+    trace_pair,
+)
+from .families import random_hermitian
 from .witness import OptimizerConfig, min_product_expectation
 
 
@@ -62,11 +69,6 @@ def grid_product_min(
         dt = thetas[1] - thetas[0]
         dp = phis[1] - phis[0]
     return value
-
-
-def _random_mixed_rank(trial: int, k: int) -> int:
-    """Cycle 1..k and one step beyond, to cover both block regimes."""
-    return 1 + trial % (k + 1)
 
 
 def suite_identities(trials: int, seed: int, d: int = 3) -> dict:

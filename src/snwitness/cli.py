@@ -260,12 +260,7 @@ def cmd_scan(args) -> int:
         bisect=args.bisect,
         bisect_tol=args.bisect_tol,
     )
-    if any(row.error for row in scan.rows):
-        code = EXIT_NUMERICAL
-    elif not all(row.converged for row in scan.rows):
-        code = EXIT_NUMERICAL
-    else:
-        code = EXIT_OK
+    code = EXIT_OK if all(row.converged for row in scan.rows) else EXIT_NUMERICAL
     if args.format == "csv":
         _emit(scan_to_csv(scan), args.output)
         return code

@@ -41,10 +41,9 @@ class LiftedState:
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """An operator on the enlarged space and the operator it was built from."""
+    """A lifted operator on the enlarged space."""
 
     operator: Operator
-    source: Operator
 
 
 def lift_state(psi: PureState, k: int) -> LiftedState:
@@ -91,9 +90,7 @@ def lift_operator(source: Operator, k: int) -> LiftedOperator:
             big[:, s, :, s, :, t, :, t] = s4
     dims = d.with_ancillas(k)
     matrix = big.reshape(dims.total, dims.total)
-    return LiftedOperator(
-        Operator(dims, matrix, hermitian=source.hermitian), source
-    )
+    return LiftedOperator(Operator(dims, matrix, hermitian=source.hermitian))
 
 
 def lower_state(psi: PureState, k: int) -> PureState:

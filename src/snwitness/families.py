@@ -1,5 +1,5 @@
 """Operator and state families: the isotropic witness family, maximally
-entangled states, seeded random generators, and the threshold scanner."""
+entangled states, seeded random operators, and the threshold scanner."""
 
 from __future__ import annotations
 
@@ -47,27 +47,6 @@ def maximally_entangled_state(d: int) -> PureState:
         raise ParameterError(f"local dimension must be >= 2, got {d}")
     vec = np.eye(d, dtype=np.complex128).ravel() / np.sqrt(d)
     return PureState(Dims(d, d), vec, normalized=True)
-
-
-def random_pure_state(dims: Dims, rank: int, seed) -> PureState:
-    """Random normalized state of exact Schmidt rank ``rank``.
-
-    Coefficients are drawn bounded away from zero and the local bases from
-    orthonormalized Gaussian matrices, so the rank is exact and the output
-    is a deterministic function of the seed.
-    """
-    limit = min(dims.a_dim, dims.b_dim)
-    if not 1 <= rank <= limit:
-        raise ParameterError(f"rank must be in [1, {limit}], got {rank}")
-    rng = np.random.default_rng(seed)
-    coef = rng.uniform(0.35, 1.0, rank)
-    coef = np.sort(coef / np.linalg.norm(coef))[::-1]
-    ga = rng.normal(size=(dims.a_dim, rank)) + 1j * rng.normal(size=(dims.a_dim, rank))
-    gb = rng.normal(size=(dims.b_dim, rank)) + 1j * rng.normal(size=(dims.b_dim, rank))
-    qa, _ = np.linalg.qr(ga)
-    qb, _ = np.linalg.qr(gb)
-    amps = np.einsum("i,ai,bi->ab", coef, qa, qb).ravel()
-    return PureState(dims, amps, normalized=True)
 
 
 def random_hermitian(dims: Dims, seed) -> Operator:
@@ -118,10 +97,6 @@ def _verdict_label(classification: WitnessClassification) -> str:
     return f"{classification.k}-SW"
 
 
-def _product_min_at_level(family, a: float, level: int, config) -> float:
-    return _level_minimum(family(a), level, config)[0]
-
-
 def threshold_scan(
     a_values,
     d: int = 3,
@@ -156,7 +131,7 @@ def threshold_scan(
             product_min = dict(cls.per_level_product_min)
             for level in levels:
                 if level not in product_min:
-                    product_min[level] = _product_min_at_level(family, a, level, config)
+                    product_min[level] = _level_minimum(family(a), level, config)[0]
             rows.append(
                 ScanRow(
                     a=a,
@@ -215,7 +190,7 @@ def _boundary_predicate(family, cls_left, cls_right, config):
         level = min(cls_left.k, cls_right.k)
 
         def predicate(a: float) -> bool:
-            return _product_min_at_level(family, a, level, config) >= -tol
+            return _level_minimum(family(a), level, config)[0] >= -tol
 
     return predicate
 

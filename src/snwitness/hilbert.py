@@ -193,6 +193,27 @@ def product_state(a: PureState, b: PureState) -> PureState:
     return PureState(dims, amps, normalized=normalized)
 
 
+def random_pure_state(dims: Dims, rank: int, seed) -> PureState:
+    """Random normalized state of exact Schmidt rank ``rank``.
+
+    Coefficients are drawn bounded away from zero and the local bases from
+    orthonormalized Gaussian matrices, so the rank is exact and the output
+    is a deterministic function of the seed.
+    """
+    limit = min(dims.a_dim, dims.b_dim)
+    if not 1 <= rank <= limit:
+        raise ParameterError(f"rank must be in [1, {limit}], got {rank}")
+    rng = np.random.default_rng(seed)
+    coef = rng.uniform(0.35, 1.0, rank)
+    coef = np.sort(coef / np.linalg.norm(coef))[::-1]
+    ga = rng.normal(size=(dims.a_dim, rank)) + 1j * rng.normal(size=(dims.a_dim, rank))
+    gb = rng.normal(size=(dims.b_dim, rank)) + 1j * rng.normal(size=(dims.b_dim, rank))
+    qa, _ = np.linalg.qr(ga)
+    qb, _ = np.linalg.qr(gb)
+    amps = np.einsum("i,ai,bi->ab", coef, qa, qb).ravel()
+    return PureState(dims, amps, normalized=True)
+
+
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
     """Schmidt decomposition of ``psi`` across the (A.ancA | B.ancB) split.
 

@@ -33,7 +33,7 @@ from .hilbert import (
     expectation,
     min_eigenpair,
     normalize,
-    product_state,
+    random_pure_state,
     trace_pair,
 )
 
@@ -90,10 +90,6 @@ class ProductMinResult:
     restarts_used: int
     converged: bool
     trace: tuple[float, ...]
-
-    def minimizer(self) -> PureState:
-        """The minimizing product state as a vector on the full space."""
-        return product_state(self.arg_a, self.arg_b)
 
     def lowered(self) -> PureState:
         """The minimizer with its ancillas contracted: sum_s A[:,s] (x) B[:,s]."""
@@ -172,7 +168,32 @@ def _starts(config: OptimizerConfig, n: int, *salt) -> np.ndarray:
     )
 
 
-def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float):
+def _lowest(p: np.ndarray, q: np.ndarray):
+    """Lowest eigenpair of each pencil <v|P|v> / <v|Q|v> of a stack, on Q's support.
+
+    Q is whitened on its support (eigenvalues above 1e-10 of its largest
+    modulus); the other directions are decoupled and shifted above the
+    spectrum, so they never win.  Returns (values, vectors, negative): NaN
+    values and zero vectors where Q has no support, <v|Q|v> = 1 elsewhere,
+    and flags where P is negative on the rest of Q's space.
+    """
+    evals, evecs = np.linalg.eigh(q)
+    scale = np.maximum(np.abs(evals).max(axis=1), 1e-300)
+    support = evals > scale[:, None] * 1e-10
+    inv = np.zeros_like(evals)
+    inv[support] = evals[support] ** -0.5
+    inner = evecs.conj().transpose(0, 2, 1) @ p @ evecs
+    reduced = inner * inv[:, :, None] * inv[:, None, :]
+    shift = (1 + np.linalg.norm(reduced, axis=(1, 2)))[:, None] * ~support
+    vals, vecs = np.linalg.eigh(reduced + shift[:, :, None] * np.eye(evals.shape[1]))
+    vectors = evecs @ (inv[:, :, None] * vecs[:, :, :1])
+    off = ~support[:, :, None] & ~support[:, None, :]
+    negative = np.linalg.eigvalsh(inner * off)[:, 0] < -scale * 1e-8
+    values = np.where(support.any(axis=1), vals[:, 0], np.nan)
+    return values, vectors[:, :, 0], negative
+
+
+def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float, q4=None):
     """Rank-k see-saw on the (dA, dB, dA, dB) tensor of S, all restarts at once.
 
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
@@ -182,58 +203,60 @@ def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float):
     For k > 1 the fixed factor is first replaced by the Q of its QR
     decomposition: that keeps psi, and with orthonormal columns
     ||psi|| = ||free factor||_F, so the unit eigenvector is the exact
-    minimum over unit states of Schmidt rank <= k with the fixed span.  A
-    restart leaves the stack once its value drops by less than ``tol`` in
-    an iteration.  Returns (values, A, B, converged, history): per-restart
-    final values, factors (A of unit norm; B of unit norm for k = 1 and
-    with orthonormal columns for k > 1, so A B^T is a unit state) and flags,
-    and per iteration an (R, 2) array of the two half-step values (NaN for
-    restarts that had already stopped).
+    minimum over unit states of Schmidt rank <= k with the fixed span.
+    Given the tensor ``q4`` of a second operator Q, the same loop minimizes
+    the pencil <psi|S|psi> / <psi|Q|psi> (Q = I is the plain case), each
+    half-step by ``_lowest``; a degenerate start, one whose conditional Q
+    has no support, gets the value NaN and is dropped.  A restart leaves
+    the stack once its value drops by less than ``tol`` in an iteration.
+
+    Returns (values, A, B, converged, history, negative): per-restart final
+    values, factors (without ``q4``, A of unit norm and B of unit norm for
+    k = 1 or with orthonormal columns for k > 1, so A B^T is a unit state)
+    and flags; per iteration an (R, 2) array of the two half-step values
+    (NaN for restarts that had already stopped); and per restart whether S
+    was found negative on the kernel of a conditional Q.
     """
+
+    def solve(t4, u4, f):
+        if u4 is None:
+            vals, vecs = np.linalg.eigh(_conditional(t4, f))
+            return vals[:, 0], vecs[:, :, 0], False
+        return _lowest(_conditional(t4, f), _conditional(u4, f))
+
     da, db = s4.shape[0], s4.shape[1]
     swapped = s4.transpose(1, 0, 3, 2)
+    q_swapped = None if q4 is None else q4.transpose(1, 0, 3, 2)
     a = np.array(starts, dtype=np.complex128).reshape(-1, da, k)
     a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
     r = a.shape[0]
     b = np.zeros((r, db, k), dtype=np.complex128)
     values = np.full(r, np.inf)
     converged = np.zeros(r, dtype=bool)
+    negative = np.zeros(r, dtype=bool)
     active = np.arange(r)
     history = []
     for _ in range(max_iters):
         if k > 1:
             a[active] = np.linalg.qr(a[active])[0]
-        vals_b, vecs_b = np.linalg.eigh(_conditional(s4, a[active]))
-        b[active] = vecs_b[:, :, 0].reshape(-1, db, k)
+        vals_b, vecs_b, neg_b = solve(s4, q4, a[active])
+        b[active] = vecs_b.reshape(-1, db, k)
         if k > 1:
             b[active] = np.linalg.qr(b[active])[0]
-        vals_a, vecs_a = np.linalg.eigh(_conditional(swapped, b[active]))
-        a[active] = vecs_a[:, :, 0].reshape(-1, da, k)
+        vals_a, vecs_a, neg_a = solve(swapped, q_swapped, b[active])
+        a[active] = vecs_a.reshape(-1, da, k)
+        if q4 is not None:
+            negative[active] |= neg_b | neg_a
         step = np.full((r, 2), np.nan)
-        step[active, 0], step[active, 1] = vals_b[:, 0], vals_a[:, 0]
+        step[active, 0], step[active, 1] = vals_b, vals_a
         history.append(step)
-        done = values[active] - vals_a[:, 0] < tol
-        values[active] = vals_a[:, 0]
+        done = ~(values[active] - vals_a >= tol)
+        values[active] = vals_a
         converged[active[done]] = True
         active = active[~done]
         if not active.size:
             break
-    return values, a, b, converged, history
-
-
-def seesaw_once(
-    w: Operator, start_a: np.ndarray, max_iters: int = 500, tol: float = 1e-10
-) -> tuple[float, np.ndarray, np.ndarray, list[float], bool]:
-    """One see-saw run from a fixed A-side start vector.
-
-    Returns (value, a, b, history, converged); ``history`` holds the
-    objective after every exact half-step and is non-increasing.
-    """
-    values, a, b, converged, history = _seesaw(
-        w.as_tensor(), 1, [start_a], max_iters, tol
-    )
-    steps = [float(v) for step in history for v in step[0]]
-    return float(values[0]), a[0, :, 0], b[0, :, 0], steps, bool(converged[0])
+    return values, a, b, converged, history, negative
 
 
 def min_product_expectation(
@@ -259,7 +282,7 @@ def min_product_expectation(
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     dims = w.dims.with_ancillas(k) if k > 1 else w.dims
-    values, a, b, converged, _ = _seesaw(
+    values, a, b, converged, *_ = _seesaw(
         w.as_tensor(),
         k,
         _starts(config, dims.a_dim),
@@ -361,25 +384,6 @@ def detects(w: Operator, rho: Operator, tol: float = 1e-9) -> bool:
     return trace_pair(w, rho) < -tol
 
 
-def subtract(w1: Operator, z: Operator, epsilon: float) -> Operator:
-    """Affine combination of a witness with a direction operator.
-
-    epsilon >= 0 coarsens: (1-eps) W1 + eps Z (requires eps < 1).
-    epsilon < 0 produces the finer candidate (1+|eps|) W1 - |eps| Z.
-    """
-    if w1.dims != z.dims:
-        raise DimensionError(f"dims mismatch: {w1.dims} vs {z.dims}")
-    hermitian = w1.hermitian and z.hermitian
-    if epsilon >= 0:
-        if epsilon >= 1:
-            raise ParameterError(f"coarsening epsilon must be < 1, got {epsilon}")
-        matrix = (1 - epsilon) * w1.matrix + epsilon * z.matrix
-    else:
-        eps = -epsilon
-        matrix = (1 + eps) * w1.matrix - eps * z.matrix
-    return Operator(w1.dims, matrix, hermitian=hermitian)
-
-
 def refine_by_subtraction(s: Operator, z: Operator, lam: float) -> Operator:
     """The rescaled subtraction (S - lam Z) / (1 - lam) for lam < 1."""
     if lam >= 1:
@@ -425,77 +429,6 @@ def finer_certificate(
     return FinerCertificate(found, eps, min_eig, z, tuple(evidence))
 
 
-def _pencil_extreme(p: np.ndarray, q: np.ndarray, largest: bool):
-    """Extremal eigenpair of the quadratic-form ratio <v|P|v>/<v|Q|v>.
-
-    Whitens by the pseudo-inverse square root of Q on its support.  Returns
-    (value, vector, negative_on_kernel); the value is None when Q has no
-    support (a degenerate direction, skipped by the caller).
-    """
-    evals, evecs = np.linalg.eigh(q)
-    scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
-    support = evals > scale * 1e-10
-    negative_on_kernel = False
-    if not support.all():
-        kernel = evecs[:, ~support]
-        overlap = kernel.conj().T @ p @ kernel
-        if overlap.size and float(np.linalg.eigvalsh(overlap)[0]) < -scale * 1e-8:
-            negative_on_kernel = True
-    if not support.any():
-        return None, None, negative_on_kernel
-    cols = evecs[:, support] / np.sqrt(evals[support])
-    reduced = cols.conj().T @ p @ cols
-    vals, vecs = np.linalg.eigh(reduced)
-    idx = -1 if largest else 0
-    vector = cols @ vecs[:, idx]
-    return float(vals[idx]), vector / np.linalg.norm(vector), negative_on_kernel
-
-
-def _pencil_seesaw(
-    p4: np.ndarray, q4: np.ndarray, k: int, config: OptimizerConfig, largest: bool
-):
-    """Extremize <psi|P|psi>/<psi|Q|psi> over psi of Schmidt rank <= k by alternation.
-
-    ``p4`` and ``q4`` are (dA, dB, dA, dB) tensors.  Each half-step solves the
-    generalized eigenproblem for one rank-k factor with the other fixed, so
-    the ratio is monotone along a run.  Returns the best ratio over restarts
-    (None if every direction was degenerate) and whether P was found
-    negative on the kernel of Q anywhere.
-    """
-    da, db = p4.shape[0], p4.shape[1]
-    p_swap, q_swap = p4.transpose(1, 0, 3, 2), q4.transpose(1, 0, 3, 2)
-    best = None
-    kernel_flag = False
-    for start in _starts(config, da * k, 104729):
-        a = start.reshape(1, da, k)
-        value = None
-        prev = None
-        for _ in range(config.max_iters):
-            val_b, b, neg = _pencil_extreme(
-                _conditional(p4, a)[0], _conditional(q4, a)[0], largest
-            )
-            kernel_flag = kernel_flag or neg
-            if val_b is None:
-                break
-            b = b.reshape(1, db, k)
-            val_a, a, neg = _pencil_extreme(
-                _conditional(p_swap, b)[0], _conditional(q_swap, b)[0], largest
-            )
-            kernel_flag = kernel_flag or neg
-            if val_a is None:
-                break
-            a = a.reshape(1, da, k)
-            value = val_a
-            if prev is not None and abs(prev - value) < config.convergence_tol:
-                break
-            prev = value
-        if value is None:
-            continue
-        if best is None or (value > best if largest else value < best):
-            best = value
-    return best, kernel_flag
-
-
 def lambda_max_subtraction(
     s: Operator,
     z: Operator,
@@ -505,13 +438,16 @@ def lambda_max_subtraction(
 ) -> SubtractionResult:
     """Largest lambda keeping (S - lambda Z)/(1 - lambda) a k-Schmidt witness.
 
-    Estimates the threshold by extremizing the two equivalent quadratic-form
-    ratios of the pair over states of Schmidt rank <= k-1 (the product
-    ratios of the lifted pair at ancilla level k-1), each by restarted
-    alternation.  Degenerate directions (no support of the denominator form)
-    are skipped; if the numerator form is negative on the denominator's
-    kernel the threshold is reported as 0.  The caller asserts that Z is
-    non-negative on Schmidt class k; this is spot-checked by sampling.
+    Estimates the threshold from the two equivalent quadratic-form ratios of
+    the pair over states of Schmidt rank <= k-1: the smallest
+    <psi|S|psi> / <psi|Z|psi> and the inverse of the largest
+    <psi|Z|psi> / <psi|S|psi>, the latter as the smallest ratio of -Z over
+    S.  Both run on the one batched see-saw kernel ``_seesaw`` as a pencil,
+    all restarts at once; degenerate starts (no support of the denominator
+    form) are dropped.  If the numerator form is negative on the
+    denominator's kernel the threshold is reported as 0.  The caller
+    asserts that Z is non-negative on Schmidt class k; this is spot-checked
+    by sampling.
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -526,19 +462,19 @@ def lambda_max_subtraction(
     _spot_check_positive_on_class(z, k, config)
 
     s4, z4 = s.as_tensor(), z.as_tensor()
-    min_ratio, neg_kernel = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
-    if neg_kernel:
+    starts = _starts(config, s.dims.dA * (k - 1), 104729)
+    run = (k - 1, starts, config.max_iters, config.convergence_tol)
+    ratios, *_, negative = _seesaw(s4, *run, q4=z4)
+    min_ratio = float(np.nanmin(ratios, initial=np.inf))
+    if negative.any():
         formula_min = 0.0
-    elif min_ratio is None:
+    elif min_ratio == np.inf:
         raise PreconditionError("every sampled direction was degenerate")
     else:
         formula_min = max(min_ratio, 0.0)
 
-    sup_ratio, _ = _pencil_seesaw(z4, s4, k - 1, config, largest=True)
-    if sup_ratio is None or sup_ratio <= 0.0:
-        formula_sup_inv = np.inf
-    else:
-        formula_sup_inv = 1.0 / sup_ratio
+    sup_ratio = -float(np.nanmin(_seesaw(-z4, *run, q4=s4)[0], initial=np.inf))
+    formula_sup_inv = 1.0 / sup_ratio if sup_ratio > 0.0 else np.inf
 
     lambda0 = formula_min
     lam = refine_at if refine_at is not None else lambda0
@@ -548,8 +484,6 @@ def lambda_max_subtraction(
 
 def _spot_check_positive_on_class(z: Operator, k: int, config: OptimizerConfig):
     """Sample states of Schmidt rank <= k and check <psi|Z|psi> >= -tol."""
-    from .families import random_pure_state
-
     for trial in range(50):
         rank = 1 + trial % k
         psi = random_pure_state(z.dims, rank, seed=(config.seed, 15485863, trial))
@@ -575,7 +509,7 @@ def optimality_certificate(
     if not check.is_witness:
         raise PreconditionError("operator is not an entanglement witness")
     d = w.dims
-    values, a, b, _, _ = _seesaw(
+    values, a, b, *_ = _seesaw(
         w.as_tensor(),
         1,
         _starts(config, d.a_dim, 7919),

@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from oracles import lower_operator_by_isometry
+import snwitness.families as families
 from snwitness import (
     Dims,
     Operator,
+    PreconditionError,
     maximally_entangled_state,
     random_hermitian,
     random_pure_state,
@@ -126,6 +129,29 @@ def test_scan_is_deterministic(tmp_path):
 def test_scan_rejects_bad_grid():
     assert run_cli("scan", "--a-from", "0.1", "--a-to", "0.2", "--steps", "0") == 2
     assert run_cli("scan", "--a-from", "0.3", "--a-to", "0.1", "--steps", "2") == 2
+
+
+@pytest.mark.parametrize("fault", ["failed", "unconverged"])
+def test_scan_exits_3_on_a_bad_row(monkeypatch, tmp_path, fault):
+    classify = families.classify_schmidt_witness
+    calls = []
+
+    def one_bad_row(s, *args):
+        calls.append(s)
+        cls = classify(s, *args)
+        if len(calls) == 1:  # rows run in order of a; the second one is bad
+            return cls
+        if fault == "failed":
+            raise PreconditionError("injected")
+        return dataclasses.replace(cls, converged=False)
+
+    monkeypatch.setattr(families, "classify_schmidt_witness", one_bad_row)
+    out = tmp_path / "scan.json"
+    code = run_cli("scan", "--a-from", "0.05", "--a-to", "0.1", "--steps", "2",
+                   "--restarts", "4", "--output", str(out))
+    assert code == 3
+    rows = read_report(out)["result"]["rows"]
+    assert [row["converged"] for row in rows] == [True, False]
 
 
 def test_lift_then_lower_state_roundtrip(tmp_path):

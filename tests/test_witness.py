@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import lifted_seesaw_min, random_unit_hermitian
+from oracles import _pencil_seesaw, lifted_seesaw_min, random_unit_hermitian
 import snwitness.witness as witness
 from snwitness import (
     DimensionError,
@@ -32,12 +32,11 @@ from snwitness import (
     random_pure_state,
     refine_by_subtraction,
     schmidt_rank,
-    subtract,
     threshold_scan,
     trace_pair,
 )
 from snwitness.families import IsotropicWitnessSpec
-from snwitness.witness import POSITIVE, SCHMIDT_WITNESS, seesaw_once
+from snwitness.witness import POSITIVE, SCHMIDT_WITNESS
 
 D33 = Dims(3, 3)
 CFG = OptimizerConfig(seed=7, restarts=24)
@@ -107,7 +106,7 @@ def test_product_min_of_isotropic_family():
 def test_product_min_value_matches_its_minimizer():
     w = random_hermitian(Dims(2, 3), seed=60)
     result = min_product_expectation(w, CFG)
-    assert abs(result.value - expectation(w, result.minimizer())) < 1e-9
+    assert abs(result.value - expectation(w, result.lowered())) < 1e-9
 
 
 def test_product_min_dominates_smallest_eigenvalue():
@@ -117,24 +116,33 @@ def test_product_min_dominates_smallest_eigenvalue():
         assert result.value >= min_eigenpair(w)[0] - 1e-9
 
 
+def restart_history(history, r):
+    """Half-step values of restart r in order, without the NaN entries of
+    the iterations after it stopped."""
+    steps = np.stack(history)[:, r].ravel()
+    return steps[~np.isnan(steps)]
+
+
 def test_seesaw_iterations_never_increase():
+    starts = []
+    for t in range(10):
+        rng = np.random.default_rng((63, t))
+        starts.append(rng.normal(size=3) + 1j * rng.normal(size=3))
     for t in range(10):
         w = random_hermitian(D33, seed=(62, t))
-        rng = np.random.default_rng((63, t))
-        start = rng.normal(size=3) + 1j * rng.normal(size=3)
-        _, _, _, history, _ = seesaw_once(w, start)
-        diffs = np.diff(history)
-        assert np.all(diffs <= 1e-12)
+        history = witness._seesaw(w.as_tensor(), 1, starts, 500, 1e-10)[4]
+        for r in range(len(starts)):
+            assert np.all(np.diff(restart_history(history, r)) <= 1e-12)
 
 
 def test_seesaw_monotone_on_lifted_operator():
     w = lift_operator(isotropic(0.2), 2).operator
     rng = np.random.default_rng(64)
     start = rng.normal(size=6) + 1j * rng.normal(size=6)
-    value, _, _, history, converged = seesaw_once(w, start)
-    assert np.all(np.diff(history) <= 1e-12)
-    assert converged
-    assert value >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
+    values, _, _, converged, history, _ = witness._seesaw(w.as_tensor(), 1, [start], 500, 1e-10)
+    assert np.all(np.diff(restart_history(history, 0)) <= 1e-12)
+    assert converged[0]
+    assert values[0] >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
 
 
 @st.composite
@@ -415,16 +423,21 @@ def test_detects_rejects_non_state():
 
 # ---------------------------------------------------------------------------
 # subtraction and refinement
+#
+# The coarsening (1 - eps) W + eps Z, 0 <= eps < 1, is the subtraction with
+# lam = -eps / (1 - eps); the finer candidate (1 + eps) W - eps Z, eps > 0,
+# is the subtraction with lam = eps / (1 + eps).
 
 
 def test_subtract_zero_is_identity():
     w = isotropic(0.2)
     z = identity_over_nine()
-    assert np.array_equal(subtract(w, z, 0.0).matrix, w.matrix)
+    assert np.array_equal(refine_by_subtraction(w, z, 0.0).matrix, w.matrix)
 
 
 def test_coarsening_lands_back_in_the_family():
-    mixed = subtract(isotropic(1 / 3), identity_over_nine(), 0.5)
+    eps = 0.5
+    mixed = refine_by_subtraction(isotropic(1 / 3), identity_over_nine(), -eps / (1 - eps))
     assert np.abs(mixed.matrix - isotropic(1 / 5).matrix).max() < 1e-12
 
 
@@ -432,23 +445,18 @@ def test_coarsening_inequality_for_psd_direction():
     w1 = isotropic(0.25)
     z = identity_over_nine()
     eps = 0.3
-    w2 = subtract(w1, z, eps)
+    w2 = refine_by_subtraction(w1, z, -eps / (1 - eps))
     for t in range(20):
         psi = random_pure_state(D33, rank=1, seed=(65, t))
         rho = projector(psi)
         assert trace_pair(w2, rho) - (1 - eps) * trace_pair(w1, rho) >= -1e-12
 
 
-def test_subtract_validates_epsilon():
-    with pytest.raises(ParameterError):
-        subtract(isotropic(0.2), identity_over_nine(), 1.0)
-
-
 def test_finer_candidate_direction():
     w = isotropic(1 / 8)
     z = identity_over_nine()
     eps = 0.1
-    finer = subtract(w, z, -eps)
+    finer = refine_by_subtraction(w, z, eps / (1 + eps))
     expected = (1 + eps) * w.matrix - eps * z.matrix
     assert np.abs(finer.matrix - expected).max() < 1e-15
 
@@ -459,9 +467,10 @@ def test_refine_by_subtraction_formula():
     lam = 0.2
     refined = refine_by_subtraction(s, z, lam)
     assert np.abs(refined.matrix - (s.matrix - lam * z.matrix) / (1 - lam)).max() == 0.0
-    # same operator through the signed-epsilon convention
-    via_subtract = subtract(s, z, -lam / (1 - lam))
-    assert np.abs(refined.matrix - via_subtract.matrix).max() < 1e-12
+    # the same operator as the finer candidate with eps = lam / (1 - lam)
+    eps = lam / (1 - lam)
+    finer = (1 + eps) * s.matrix - eps * z.matrix
+    assert np.abs(refined.matrix - finer).max() < 1e-12
     with pytest.raises(ParameterError):
         refine_by_subtraction(s, z, 1.0)
 
@@ -475,7 +484,7 @@ def test_refinement_keeps_previously_detected_states():
     level = 2
     lifted_refined = (1 + eps) * lift_operator(s, level).operator.matrix \
         - eps * lift_operator(z, level).operator.matrix
-    finer = subtract(s, z, -eps)
+    finer = refine_by_subtraction(s, z, eps / (1 + eps))
     assert np.abs(lifted_refined - lift_operator(finer, level).operator.matrix).max() < 1e-12
     for rho in states_detected_by(s, 20, seed=66):
         assert trace_pair(finer, rho) <= trace_pair(s, rho) + 1e-12
@@ -571,6 +580,92 @@ def test_subtraction_refine_at_requested_weight():
     assert np.abs(result.refined.matrix - expected).max() < 1e-15
     with pytest.raises(ParameterError):
         lambda_max_subtraction(s, z, 3, CFG, refine_at=1.0)
+
+
+def negative_on_the_kernel():
+    """S = I/9 - |22><22|/2 and Z = diag(1, 1, 0) (x) I at k = 2.
+
+    On products |ab>, <Z> = 1 - |a_2|^2 vanishes at a = |2>, where
+    <S> = 1/9 - |b_2|^2 / 2 turns negative; off that kernel Z/S peaks at 9.
+    """
+    matrix = np.eye(9) / 9
+    matrix[8, 8] -= 0.5
+    z = np.kron(np.diag([1.0, 1.0, 0.0]), np.eye(3))
+    return Operator(D33, matrix, hermitian=True), Operator(D33, z, hermitian=True), 2
+
+
+def test_subtraction_threshold_is_zero_when_s_is_negative_on_the_kernel_of_z():
+    result = lambda_max_subtraction(*negative_on_the_kernel(), CFG)
+    assert result.lambda0 == result.formula_min == 0.0
+    assert abs(result.formula_sup_inv - 1 / 9) < 1e-9
+
+
+def test_subtraction_rejects_a_direction_without_support():
+    zero = Operator(D33, np.zeros((9, 9)), hermitian=True)
+    with pytest.raises(PreconditionError):
+        lambda_max_subtraction(isotropic(1 / 8), zero, 3, CFG)
+
+
+def test_subtraction_validates_k():
+    # 2 <= k <= min(dA, dB); the class check samples states of rank up to k
+    s, z = isotropic(1 / 8), identity_over_nine()
+    for k in (1, 4):
+        with pytest.raises(ParameterError):
+            lambda_max_subtraction(s, z, k, CFG)
+
+
+def random_psd(dims, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
+    m = g @ g.conj().T
+    return Operator(dims, m / np.trace(m).real, hermitian=True)
+
+
+def rank_one_dip(dims, seed):
+    """c I - |phi><phi| with c between phi's rank-2 and full Schmidt weight:
+    non-negative on Schmidt rank <= 2, negative on phi."""
+    phi = random_pure_state(dims, 3, seed=seed).amplitudes
+    weights = np.linalg.svd(phi.reshape(dims.dA, dims.dB), compute_uv=False) ** 2
+    c = (weights[0] + weights[1] + 1) / 2
+    return Operator(dims, c * np.eye(dims.total) - np.outer(phi, phi.conj()), hermitian=True)
+
+
+PENCILS = {
+    "criterion-8": lambda: (isotropic(1 / 8), identity_over_nine(), 3),
+    "identity": lambda: (isotropic(1 / 8), isotropic(1 / 8), 3),
+    "psd-3x3": lambda: (isotropic(1 / 8), random_psd(D33, 69), 3),
+    "psd-3x4": lambda: (rank_one_dip(Dims(3, 4), 70), random_psd(Dims(3, 4), 71), 3),
+    "negative-on-kernel": negative_on_the_kernel,
+}
+
+
+@pytest.mark.parametrize("name", PENCILS)
+def test_pencil_kernel_matches_the_per_restart_reference(name):
+    s, z, k = PENCILS[name]()
+    config = OptimizerConfig(seed=8, restarts=32)
+    s4, z4 = s.as_tensor(), z.as_tensor()
+    starts = witness._starts(config, s.dims.dA * (k - 1), 104729)
+    run = (k - 1, starts, config.max_iters, config.convergence_tol)
+    ratios, *_, negative = witness._seesaw(s4, *run, q4=z4)
+    best, flag = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
+    assert abs(np.nanmin(ratios) - best) < 1e-9
+    assert negative.any() == flag
+    # the largest Z/S is the smallest -Z/S
+    sup = -np.nanmin(witness._seesaw(-z4, *run, q4=s4)[0])
+    best, _ = _pencil_seesaw(z4, s4, k - 1, config, largest=True)
+    assert abs(sup - best) < 1e-9
+
+
+@pytest.mark.parametrize("dims, k", [((3, 3), 1), ((3, 3), 2), ((3, 4), 2), ((4, 4), 3), ((4, 5), 3)])
+def test_identity_pencil_is_the_plain_kernel(dims, k):
+    s = random_unit_hermitian(Dims(*dims), seed=(72, k))
+    s4 = s.as_tensor()
+    identity = np.eye(s.dims.total).reshape(s4.shape)
+    starts = witness._starts(CFG, dims[0] * k)
+    plain = witness._seesaw(s4, k, starts, 500, 1e-10)
+    pencil = witness._seesaw(s4, k, starts, 500, 1e-10, q4=identity)
+    assert np.abs(plain[0] - pencil[0]).max() < 1e-10
+    assert not pencil[5].any()
 
 
 # ---------------------------------------------------------------------------
