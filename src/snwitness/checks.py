@@ -183,7 +183,7 @@ def _ensemble_operator(dims: Dims, ensemble) -> Operator:
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for weight, state in ensemble:
         out += weight * np.outer(state.amplitudes, state.amplitudes.conj())
-    return Operator(dims, out, hermitian=True)
+    return Operator._unchecked(dims, out, hermitian=True)  # unit-state projectors, weights in [0.1, 1]
 
 
 def _suite_report(name: str, errors, tolerance: float) -> dict:

@@ -33,6 +33,7 @@ from .witness import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+_INDENT = "  "  # reports are json.dumps(report, indent=2) text
 
 
 class CliInputError(SnWitnessError):
@@ -41,10 +42,6 @@ class CliInputError(SnWitnessError):
 
 # ---------------------------------------------------------------------------
 # JSON representations
-
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _pair_to_complex(pair, where: str) -> complex:
@@ -71,7 +68,7 @@ def dims_from_json(data, where: str = "dims") -> Dims:
 def state_to_json(state: PureState) -> dict:
     return {
         "dims": dims_to_json(state.dims),
-        "amplitudes": [_complex_to_pair(z) for z in state.amplitudes],
+        "amplitudes": state.amplitudes,
     }
 
 
@@ -93,7 +90,7 @@ def state_from_json(data: dict) -> PureState:
 def operator_to_json(op: Operator) -> dict:
     return {
         "dims": dims_to_json(op.dims),
-        "matrix": [[_complex_to_pair(z) for z in row] for row in op.matrix],
+        "matrix": op.matrix,
     }
 
 
@@ -204,8 +201,46 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+def _render_array(arr: np.ndarray, level: int) -> str:
+    """A complex array as its nested [re, im] lists, by string joins.  The
+    entries are finite, as in every PureState and Operator, so each one is
+    written as its float repr."""
+    pairs = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    texts = list(map(float.__repr__, pairs.ravel().tolist()))
+    shape = arr.shape + (2,)
+    for depth in reversed(range(len(shape))):
+        inner = "\n" + _INDENT * (level + depth + 1)
+        template = "[" + inner + ("," + inner).join(["%s"] * shape[depth])
+        template += "\n" + _INDENT * (level + depth) + "]"
+        texts = list(map(template.__mod__, zip(*[iter(texts)] * shape[depth])))
+    return texts[0]
+
+
+def _render(value, level: int = 0) -> str:
+    """The text of ``json.dumps(value, indent=2)``, with complex numpy arrays
+    written as nested [re, im] lists; scalars go through ``json.dumps``."""
+    if isinstance(value, np.ndarray):
+        return _render_array(value, level)
+    if isinstance(value, dict):
+        items = [
+            json.dumps(key if isinstance(key, str) else json.dumps(key))
+            + ": " + _render(item, level + 1)
+            for key, item in value.items()
+        ]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_render(item, level + 1) for item in value]
+        opening, closing = "[", "]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return opening + closing
+    inner = "\n" + _INDENT * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
+
+
 def _emit_report(report: dict, output: str | None):
-    _emit(json.dumps(report, indent=2) + "\n", output)
+    _emit(_render(report) + "\n", output)
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,9 @@ def lift_operator(source: Operator, k: int) -> LiftedOperator:
         for t in range(k):
             big[:, s, :, s, :, t, :, t] = s4
     dims = d.with_ancillas(k)
+    # copies of the validated S: finite, and exactly as Hermitian as S
     matrix = big.reshape(dims.total, dims.total)
-    return LiftedOperator(Operator(dims, matrix, hermitian=source.hermitian))
+    return LiftedOperator(Operator._unchecked(dims, matrix, hermitian=source.hermitian))
 
 
 def lower_state(psi: PureState, k: int) -> PureState:
@@ -127,8 +128,8 @@ def _check_ensemble(ensemble):
         raise ParameterError("ensemble must contain at least one state")
     dims = ensemble[0][1].dims
     for weight, state in ensemble:
-        if weight < 0:
-            raise ParameterError(f"ensemble weights must be >= 0, got {weight}")
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ParameterError(f"ensemble weights must be finite and >= 0, got {weight}")
         if state.dims != dims:
             raise DimensionError("all ensemble states must share the same dims")
         if state.norm() == 0.0:
@@ -136,12 +137,18 @@ def _check_ensemble(ensemble):
     return dims
 
 
-def _projector_sum(ensemble, vectors: np.ndarray) -> np.ndarray:
+def _projector_sum(ensemble, vectors: np.ndarray, dims: Dims) -> Operator:
     """sum_i w_i |v_i><v_i| = V^T diag(w) conj(V) over stacked rows v_i, as the
-    Gram product X^T conj(X) of X = diag(sqrt w) V, which is exactly Hermitian."""
+    Gram product X^T conj(X) of X = diag(sqrt w) V.  That is Hermitian up to
+    the rounding of the product: exactly on some BLAS kernels, within a few
+    ulps of the largest entry on others (OpenBLAS at odd sizes)."""
     weights = np.array([weight for weight, _ in ensemble], dtype=np.float64)
     scaled = np.sqrt(weights)[:, None] * vectors
-    return scaled.T @ scaled.conj()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        out = scaled.T @ scaled.conj()
+    if not np.isfinite(out).all():
+        raise ParameterError("ensemble projector sum has non-finite entries")
+    return Operator._unchecked(dims, out, hermitian=True)
 
 
 def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
@@ -152,7 +159,7 @@ def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
     """
     dims = _check_ensemble(ensemble)
     lifted = np.stack([lift_state(state, k).state.amplitudes for _, state in ensemble])
-    return Operator(dims.with_ancillas(k), _projector_sum(ensemble, lifted), hermitian=True)
+    return _projector_sum(ensemble, lifted, dims.with_ancillas(k))
 
 
 def lower_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
@@ -167,4 +174,4 @@ def lower_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
         )
     stacked = np.stack([state.as_tensor() for _, state in ensemble])
     lowered = np.einsum("nasbs->nab", stacked).reshape(len(ensemble), -1)
-    return Operator(Dims(dims.dA, dims.dB), _projector_sum(ensemble, lowered), hermitian=True)
+    return _projector_sum(ensemble, lowered, Dims(dims.dA, dims.dB))

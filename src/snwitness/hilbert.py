@@ -135,6 +135,17 @@ class Operator:
                     f"operator flagged hermitian but max |M - M^dag| = {dev:g}"
                 )
 
+    @classmethod
+    def _unchecked(cls, dims: Dims, matrix: np.ndarray, hermitian: bool = False) -> "Operator":
+        """Wrap a complex (n, n) matrix that is finite, and within
+        HERMITICITY_TOL of Hermitian if flagged, by construction from
+        validated inputs: no copy and no checks, only the read-only flag."""
+        matrix.setflags(write=False)
+        op = object.__new__(cls)
+        for name, value in (("dims", dims), ("matrix", matrix), ("hermitian", hermitian)):
+            object.__setattr__(op, name, value)
+        return op
+
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 

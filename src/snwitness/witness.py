@@ -447,7 +447,7 @@ def lambda_max_subtraction(
     form) are dropped.  If the numerator form is negative on the
     denominator's kernel the threshold is reported as 0.  The caller
     asserts that Z is non-negative on Schmidt class k; this is spot-checked
-    by sampling.
+    by sampling.  Needs 2 <= k <= min(dA, dB).
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -457,6 +457,9 @@ def lambda_max_subtraction(
         raise DimensionError(f"dims mismatch: {s.dims} vs {z.dims}")
     if not s.dims.unextended:
         raise DimensionError("expected operators without ancillas")
+    limit = min(s.dims.dA, s.dims.dB)
+    if k > limit:
+        raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     _require_hermitian(s)
     _require_hermitian(z)
     _spot_check_positive_on_class(z, k, config)

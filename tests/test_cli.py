@@ -16,7 +16,7 @@ from snwitness import (
     random_hermitian,
     random_pure_state,
 )
-from snwitness.cli import main, operator_to_json, state_from_json, state_to_json
+from snwitness.cli import _render, main, operator_to_json, state_from_json, state_to_json
 
 
 def run_cli(*argv):
@@ -24,7 +24,7 @@ def run_cli(*argv):
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload))
+    path.write_text(_render(payload))
     return str(path)
 
 
@@ -69,9 +69,9 @@ def test_classify_rejects_missing_field(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
-    op = operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9, hermitian=True))
+    op = json.loads(_render(operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9, hermitian=True))))
     op["matrix"][1][2][0] = op["matrix"][2][1][0] = bad
-    state = state_to_json(maximally_entangled_state(3))
+    state = json.loads(_render(state_to_json(maximally_entangled_state(3))))
     state["amplitudes"][4][1] = bad
     for command, payload in (("classify", op), ("lift", state), ("lift", op)):
         path = write_json(tmp_path / "bad.json", payload)
@@ -277,11 +277,68 @@ def test_negative_seed_exits_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_reports_roundtrip_through_json(tmp_path):
+REPORTS = {
+    "classify": ["classify", "--family", "isotropic", "--a", "0.2", "--dim", "3",
+                 "--restarts", "4"],
+    "scan": ["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--restarts", "4",
+             "--format", "json"],
+    "lift-state": ["lift", "--input", "{state}", "--k", "2"],
+    "lift-operator-k4": ["lift", "--input", "{operator}", "--k", "4"],
+    "lower-state": ["lower", "--input", "{big_state}", "--k", "2"],
+    "lower-operator": ["lower", "--input", "{big_operator}", "--k", "2"],
+    "verify": ["verify", "--suite", "trace", "--dim", "2", "--trials", "3", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_roundtrip_through_json(tmp_path, name):
+    """Every report is exactly the text json.dumps(report, indent=2) writes."""
+    small, big = Dims(3, 3), Dims(2, 2, 2, 2)
+    files = {
+        "state": state_to_json(random_pure_state(small, rank=3, seed=93)),
+        "operator": operator_to_json(random_hermitian(small, seed=94)),
+        "big_state": state_to_json(random_pure_state(big, rank=3, seed=95)),
+        "big_operator": operator_to_json(random_hermitian(big, seed=96)),
+    }
+    paths = {key: write_json(tmp_path / f"{key}.json", payload) for key, payload in files.items()}
     out = tmp_path / "report.json"
-    run_cli(
-        "classify", "--family", "isotropic", "--a", "0.05",
-        "--restarts", "4", "--output", str(out),
-    )
+    argv = [arg.format(**paths) for arg in REPORTS[name]]
+    assert run_cli(*argv, "--output", str(out)) == 0
     text = out.read_text()
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    report = json.loads(text)
+    assert json.dumps(report, indent=2) + "\n" == text
+    if name == "classify":
+        assert report["result"]["detectedState"] is not None
+    if name == "lift-operator-k4":
+        assert len(report["result"]["matrix"]) == 144
+
+
+AWKWARD = {
+    "negative-zero": -0.0,
+    "subnormal": 5e-324,
+    "1e16": 1e16,
+    "sum-of-tenths": 0.1 + 0.2,
+    "largest-float": 1.7976931348623157e308,
+    "non-finite": [float("nan"), float("inf"), -float("inf")],
+    "1-d-array": np.array([-0.0 + 5e-324j, 0.1 + 0.2 + 1e16j, 1.7976931348623157e308 - 1j]),
+    "non-square-array": np.arange(6).reshape(2, 3) * (0.1 - 1j / 3),
+    "containers": {"e": {}, "l": [], "t": (1, None, True), "s": "\u00e9\"", 3: False, None: [[]]},
+}
+
+
+def _as_pairs(value):
+    """Reference: complex arrays as nested [re, im] lists, containers as-is."""
+    if isinstance(value, np.ndarray):
+        return np.stack([value.real, value.imag], axis=-1).tolist()
+    if isinstance(value, dict):
+        return {key: _as_pairs(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_pairs(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(AWKWARD))
+def test_renderer_writes_the_json_module_text(name):
+    value = AWKWARD[name]
+    for nested in (value, {"outer": [value, {"inner": value}]}):
+        assert _render(nested) == json.dumps(_as_pairs(nested), indent=2)

@@ -26,7 +26,7 @@ from snwitness import (
     schmidt_rank,
     trace_pair,
 )
-from snwitness.hilbert import a_factor_state, b_factor_state, product_state
+from snwitness.hilbert import HERMITICITY_TOL, a_factor_state, b_factor_state, product_state
 
 from oracles import (
     contract_ancillas,
@@ -391,6 +391,58 @@ def test_ensemble_weight_validation():
         lift_ensemble([(-0.5, psi)], 2)
     with pytest.raises(ParameterError):
         lift_ensemble([], 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_ensemble_weights_are_rejected(bad):
+    small = random_pure_state(D33, rank=2, seed=56)
+    big = random_pure_state(D33.with_ancillas(2), rank=2, seed=57)
+    with pytest.raises(ParameterError):
+        lift_ensemble([(0.5, small), (bad, small)], 2)
+    with pytest.raises(ParameterError):
+        lower_ensemble([(0.5, big), (bad, big)], 2)
+
+
+def test_overflowing_ensembles_are_rejected():
+    # finite weights and amplitudes whose projector sum is not finite
+    big_dims = D33.with_ancillas(2)
+    small = PureState(D33, random_pure_state(D33, 2, seed=58).amplitudes * 1e150)
+    big = PureState(big_dims, random_pure_state(big_dims, 2, seed=59).amplitudes * 1e150)
+    with pytest.raises(ParameterError, match="non-finite"):
+        lift_ensemble([(1e20, small)], 2)
+    with pytest.raises(ParameterError, match="non-finite"):
+        lower_ensemble([(1e20, big)], 2)
+
+
+def test_operators_built_without_validation_are_read_only_finite_and_hermitian():
+    near = random_hermitian(D33, seed=63).matrix.copy()
+    near[0, 1] += 3e-11j  # within HERMITICITY_TOL, so accepted as Hermitian
+    s = Operator(D33, near, hermitian=True)
+    lifted = lift_operator(s, 3).operator
+    gram = [
+        lift_ensemble(random_ensemble(D33, 64), 3),
+        lower_ensemble(random_ensemble(D33.with_ancillas(3), 65, max_rank=9), 3),
+    ]
+    for op in [lifted, *gram]:
+        assert op.hermitian and not op.matrix.flags.writeable
+        assert np.isfinite(op.matrix).all()
+        assert np.abs(op.matrix - op.matrix.conj().T).max() < HERMITICITY_TOL
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 0.0
+    source_dev = np.abs(s.matrix - s.matrix.conj().T).max()
+    assert np.abs(lifted.matrix - lifted.matrix.conj().T).max() == source_dev > 0
+    for op in gram:  # Gram products are Hermitian up to the rounding of the product
+        scale = np.abs(op.matrix).max()
+        assert np.abs(op.matrix - op.matrix.conj().T).max() <= 8 * np.finfo(float).eps * scale
+
+
+def test_lift_keeps_a_missing_hermitian_flag():
+    rng = np.random.default_rng(66)
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    for source in (Operator(D33, m), Operator(D33, m + m.conj().T)):
+        lifted = lift_operator(source, 2).operator
+        assert not lifted.hermitian and not lifted.matrix.flags.writeable
+        assert np.array_equal(lifted.matrix, lift_operator_by_einsum(source.matrix, 3, 3, 2))
 
 
 # ---------------------------------------------------------------------------

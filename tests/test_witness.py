@@ -609,9 +609,11 @@ def test_subtraction_rejects_a_direction_without_support():
 def test_subtraction_validates_k():
     # 2 <= k <= min(dA, dB); the class check samples states of rank up to k
     s, z = isotropic(1 / 8), identity_over_nine()
-    for k in (1, 4):
-        with pytest.raises(ParameterError):
-            lambda_max_subtraction(s, z, k, CFG)
+    with pytest.raises(ParameterError, match="k must be >= 2, got 1"):
+        lambda_max_subtraction(s, z, 1, CFG)
+    # once rejected only by the class sampler, as "rank must be in [1, 3], got 4"
+    with pytest.raises(ParameterError, match=r"k must be <= min\(dA, dB\) = 3, got 4"):
+        lambda_max_subtraction(s, z, 4, CFG)
 
 
 def random_psd(dims, seed):
