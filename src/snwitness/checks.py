@@ -2,7 +2,9 @@
 
 Each suite runs a batch of randomized trials of one of the structural
 identities behind the embedding and reports the worst error; the CLI
-``verify`` command is a thin wrapper around these.  The grid oracle is the
+``verify`` command is a thin wrapper around these.  Trials are drawn and
+checked in blocks through the stacked kernels of ``hilbert``, ``families``
+and ``embedding``, one seed per trial as in a trial-by-trial run.  The grid oracle is the
 independent reference the see-saw optimizer is validated against at small
 dimensions.
 """
@@ -11,23 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedding import (
-    lift_ensemble,
-    lift_operator,
-    lift_state,
-    lower_ensemble,
-    lower_state,
-)
+from .embedding import _lift_operators, _lift_states, _lower_states
 from .errors import ParameterError
-from .hilbert import (
-    Dims,
-    Operator,
-    PureState,
-    product_state,
-    random_pure_state,
-    trace_pair,
-)
-from .families import random_hermitian
+from .families import _random_hermitians, random_hermitian
+from .hilbert import Dims, Operator, _random_pure_states
 from .witness import OptimizerConfig, min_product_expectation
 
 
@@ -71,96 +60,138 @@ def grid_product_min(
     return value
 
 
+BLOCK = 8
+"""Trials of one ancilla dimension drawn and checked together by the
+suites; each trial keeps its own seeds.  Blocks of 8 already share most of
+the per-call cost of the stacked kernels, and keep the stacks small next to
+one lifted operator."""
+
+
+def _blocks(trials: int):
+    """(k, ts): the trial numbers ts of each block, all with the same
+    ancilla dimension k = 2 + t % 2."""
+    for k in (2, 3):
+        ts = np.arange(k - 2, trials, 2)
+        for start in range(0, len(ts), BLOCK):
+            yield k, ts[start : start + BLOCK]
+
+
+def _random_ensembles(dims: Dims, max_rank: int, rng_seeds, member_seeds):
+    """Weights (r, 3) and member amplitudes (r, 3, dims.total) of r random
+    ensembles: generator ``rng_seeds[j]`` draws each member's weight in
+    [0.1, 1) and rank in [1, max_rank], seed ``member_seeds[j][i]`` its state."""
+    weights, ranks = [], []
+    for rng_seed in rng_seeds:
+        rng = np.random.default_rng(rng_seed)
+        for _ in range(3):
+            weights.append(float(rng.uniform(0.1, 1.0)))
+            ranks.append(1 + int(rng.integers(max_rank)))
+    states = _random_pure_states(dims, ranks, [s for seeds in member_seeds for s in seeds])
+    r = len(rng_seeds)
+    return np.reshape(weights, (r, 3)), states.reshape(r, 3, dims.total)
+
+
+def _random_products(dims: Dims, seeds) -> np.ndarray:
+    """Unit product states (r, dims.total): seed j draws a complex Gaussian
+    A-side vector, then a B-side one."""
+    a = np.empty((len(seeds), dims.a_dim), dtype=np.complex128)
+    b = np.empty((len(seeds), dims.b_dim), dtype=np.complex128)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        a[row] = rng.normal(size=dims.a_dim) + 1j * rng.normal(size=dims.a_dim)
+        b[row] = rng.normal(size=dims.b_dim) + 1j * rng.normal(size=dims.b_dim)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    return (a[:, :, None] * b[:, None, :]).reshape(len(seeds), dims.total)
+
+
+def _sandwich(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u_ri|X_r|w_ri> (r, m) for operators X (r, n, n) and vectors u, w (r, m, n)."""
+    return np.sum(u.conj() * (w @ x.swapaxes(1, 2)), axis=2)
+
+
+def _lifted_sandwich(dims: Dims, s: np.ndarray, k: int, u, w) -> np.ndarray:
+    """``_sandwich`` of the lifted operators lift(S_r), lifted one trial at a
+    time.  A lifted operator has (d k)^4 entries, far more than anything else
+    a suite holds; a stack of them raised the peak RSS of the commands run
+    after the suites in the same process."""
+    rows = [slice(r, r + 1) for r in range(len(s))]
+    return np.concatenate(
+        [_sandwich(_lift_operators(dims, s[r], k), u[r], w[r]) for r in rows]
+    )
+
+
 def suite_identities(trials: int, seed: int, d: int = 3) -> dict:
     """Expectation values survive the lift: <psi|S|psi> = <lift|lift(S)|lift>."""
     dims = Dims(d, d)
-    errors = []
-    for t in range(trials):
-        k = 2 + t % 2
-        rank = 1 + t % d
-        psi = random_pure_state(dims, rank, seed=(seed, 1, t))
-        s = random_hermitian(dims, seed=(seed, 2, t))
-        lifted_psi = lift_state(psi, k).state
-        lifted_s = lift_operator(s, k).operator
-        lhs = np.vdot(psi.amplitudes, s.matrix @ psi.amplitudes)
-        rhs = np.vdot(lifted_psi.amplitudes, lifted_s.matrix @ lifted_psi.amplitudes)
-        errors.append(float(abs(lhs - rhs)))
+    errors = np.empty(trials)
+    for k, ts in _blocks(trials):
+        psi = _random_pure_states(dims, [1 + t % d for t in ts], [(seed, 1, t) for t in ts])
+        s = _random_hermitians(dims, [(seed, 2, t) for t in ts])
+        lifted = _lift_states(dims, psi, k)[0][:, None]
+        psi = psi[:, None]
+        lhs = _sandwich(s, psi, psi)
+        rhs = _lifted_sandwich(dims, s, k, lifted, lifted)
+        errors[ts] = np.abs(lhs - rhs)[:, 0]
     return _suite_report("identities", errors, tolerance=1e-9)
 
 
 def suite_roundtrip(trials: int, seed: int, d: int = 3) -> dict:
     """Lower inverts lift: ||lower(lift(psi)) - psi|| for rank <= k states."""
     dims = Dims(d, d)
-    errors = []
-    for t in range(trials):
-        k = 2 + t % 2
-        rank = 1 + t % k
-        psi = random_pure_state(dims, rank, seed=(seed, 3, t))
-        back = lower_state(lift_state(psi, k).state, k)
-        errors.append(float(np.linalg.norm(back.amplitudes - psi.amplitudes)))
+    errors = np.empty(trials)
+    for k, ts in _blocks(trials):
+        psi = _random_pure_states(dims, [1 + t % k for t in ts], [(seed, 3, t) for t in ts])
+        back = _lower_states(dims.with_ancillas(k), _lift_states(dims, psi, k)[0])
+        errors[ts] = np.linalg.norm(back - psi, axis=1)
     return _suite_report("roundtrip", errors, tolerance=1e-10)
 
 
-def _random_ensemble(dims: Dims, seed, count: int, max_rank: int):
-    rng = np.random.default_rng(seed)
-    ensemble = []
-    for i in range(count):
-        weight = float(rng.uniform(0.1, 1.0))
-        rank = 1 + int(rng.integers(max_rank))
-        ensemble.append((weight, random_pure_state(dims, rank, seed=(seed, 4, i))))
-    return ensemble
-
-
 def suite_trace(trials: int, seed: int, d: int = 3) -> dict:
-    """Trace pairings survive lifting and lowering of ensembles."""
-    dims = Dims(d, d)
-    errors = []
-    for t in range(trials):
-        k = 2 + t % 2
-        s = random_hermitian(dims, seed=(seed, 5, t))
-        ensemble = _random_ensemble(dims, (seed, 6, t), count=3, max_rank=d)
-        rho = _ensemble_operator(dims, ensemble)
-        lifted_s = lift_operator(s, k).operator
-        gamma = lift_ensemble(ensemble, k)
-        errors.append(abs(trace_pair(s, rho) - trace_pair(lifted_s, gamma)))
+    """Trace pairings survive lifting and lowering of ensembles.
 
-        big_dims = dims.with_ancillas(k)
-        big_ensemble = []
-        rng = np.random.default_rng((seed, 7, t))
-        for i in range(3):
-            weight = float(rng.uniform(0.1, 1.0))
-            rank = 1 + int(rng.integers(big_dims.a_dim))
-            big_ensemble.append(
-                (weight, random_pure_state(big_dims, rank, seed=(seed, 8, t, i)))
-            )
-        theta_big = _ensemble_operator(big_dims, big_ensemble)
-        theta = lower_ensemble(big_ensemble, k)
-        errors.append(abs(trace_pair(lifted_s, theta_big) - trace_pair(s, theta)))
-    return _suite_report("trace", errors, tolerance=1e-9)
+    Per trial, Tr(S rho) = Tr(lift(S) lift(rho-ensemble)) and
+    Tr(lift(S) Theta) = Tr(S lower(Theta-ensemble)), each pairing of X with an
+    ensemble taken as sum_i w_i <v_i|X|v_i> over its members."""
+    dims = Dims(d, d)
+    errors = np.empty((trials, 2))
+    for k, ts in _blocks(trials):
+        big = dims.with_ancillas(k)
+        s = _random_hermitians(dims, [(seed, 5, t) for t in ts])
+        w, v = _random_ensembles(
+            dims, d, [(seed, 6, t) for t in ts],
+            [[((seed, 6, t), 4, i) for i in range(3)] for t in ts],
+        )
+        big_w, big_v = _random_ensembles(
+            big, big.a_dim, [(seed, 7, t) for t in ts],
+            [[(seed, 8, t, i) for i in range(3)] for t in ts],
+        )
+        lifted = _lift_states(dims, v.reshape(-1, dims.total), k)[0].reshape(big_v.shape)
+        lowered = _lower_states(big, big_v.reshape(-1, big.total)).reshape(v.shape)
+        # members 0..2: the rho ensemble and its lift; 3..5: Theta and its lowering
+        small = np.concatenate([v, lowered], axis=1)
+        large = np.concatenate([lifted, big_v], axis=1)
+        small = _sandwich(s, small, small).real
+        large = _lifted_sandwich(dims, s, k, large, large).real
+        errors[ts, 0] = np.abs(np.sum(w * (small[:, :3] - large[:, :3]), axis=1))
+        errors[ts, 1] = np.abs(np.sum(big_w * (large[:, 3:] - small[:, 3:]), axis=1))
+    return _suite_report("trace", errors.ravel(), tolerance=1e-9)
 
 
 def suite_product_pairs(trials: int, seed: int, d: int = 3) -> dict:
     """Matrix elements of the lifted operator between enlarged product states
     equal the source matrix elements between the lowered states."""
     dims = Dims(d, d)
-    errors = []
-    for t in range(trials):
-        k = 2 + t % 2
+    errors = np.empty(trials)
+    for k, ts in _blocks(trials):
         big = dims.with_ancillas(k)
-        s = random_hermitian(dims, seed=(seed, 9, t))
-        lifted_s = lift_operator(s, k).operator
-        pair = []
-        for j in (0, 1):
-            rng = np.random.default_rng((seed, 10, t, j))
-            a = rng.normal(size=big.a_dim) + 1j * rng.normal(size=big.a_dim)
-            b = rng.normal(size=big.b_dim) + 1j * rng.normal(size=big.b_dim)
-            a = PureState(big.a_factor(), a / np.linalg.norm(a), normalized=True)
-            b = PureState(big.b_factor(), b / np.linalg.norm(b), normalized=True)
-            pair.append(product_state(a, b))
-        lowered = [lower_state(p, k) for p in pair]
-        lhs = np.vdot(pair[0].amplitudes, lifted_s.matrix @ pair[1].amplitudes)
-        rhs = np.vdot(lowered[0].amplitudes, s.matrix @ lowered[1].amplitudes)
-        errors.append(float(abs(lhs - rhs)))
+        s = _random_hermitians(dims, [(seed, 9, t) for t in ts])
+        pairs = _random_products(big, [(seed, 10, t, j) for t in ts for j in (0, 1)])
+        lowered = _lower_states(big, pairs).reshape(len(ts), 2, -1)
+        pairs = pairs.reshape(len(ts), 2, -1)
+        lhs = _lifted_sandwich(dims, s, k, pairs[:, :1], pairs[:, 1:])
+        rhs = _sandwich(s, lowered[:, :1], lowered[:, 1:])
+        errors[ts] = np.abs(lhs - rhs)[:, 0]
     return _suite_report("lemma5", errors, tolerance=1e-9)
 
 
@@ -179,14 +210,8 @@ def suite_oracle(
     return _suite_report("oracle", errors, tolerance=1e-4)
 
 
-def _ensemble_operator(dims: Dims, ensemble) -> Operator:
-    out = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for weight, state in ensemble:
-        out += weight * np.outer(state.amplitudes, state.amplitudes.conj())
-    return Operator._unchecked(dims, out, hermitian=True)  # unit-state projectors, weights in [0.1, 1]
-
-
 def _suite_report(name: str, errors, tolerance: float) -> dict:
+    errors = [float(e) for e in errors]
     max_error = max(errors) if errors else 0.0
     return {
         "suite": name,
@@ -194,7 +219,7 @@ def _suite_report(name: str, errors, tolerance: float) -> dict:
         "maxError": max_error,
         "tolerance": tolerance,
         "pass": bool(max_error < tolerance),
-        "perTrial": [float(e) for e in errors],
+        "perTrial": errors,
     }
 
 

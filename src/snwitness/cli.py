@@ -23,7 +23,7 @@ from .families import (
     make_isotropic_witness,
     threshold_scan,
 )
-from .hilbert import Dims, Operator, PureState
+from .hilbert import Dims, Operator, PureState, _hermitian_deviation
 from .witness import (
     OptimizerConfig,
     WitnessClassification,
@@ -106,9 +106,8 @@ def operator_from_json(data: dict) -> Operator:
             raise CliInputError(f"matrix[{i}]: expected {n} entries")
         rows.append([_pair_to_complex(pair, f"matrix[{i}][{j}]") for j, pair in enumerate(row)])
     matrix = np.array(rows)
-    with np.errstate(invalid="ignore"):  # non-finite entries: Operator rejects them
-        hermitian = bool(np.abs(matrix - matrix.conj().T).max() < 1e-10)
-    return Operator(dims, matrix, hermitian=hermitian)
+    # non-finite entries count as not Hermitian here; Operator rejects them
+    return Operator(dims, matrix, hermitian=_hermitian_deviation(matrix) is None)
 
 
 def load_payload(path: str) -> dict:

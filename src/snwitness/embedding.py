@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionError, ParameterError
-from .hilbert import Dims, Operator, PureState, schmidt_decompose
+from .hilbert import Dims, Operator, PureState, _schmidt_terms
 
 
 @dataclass(frozen=True)
@@ -46,56 +46,83 @@ class LiftedOperator:
     operator: Operator
 
 
+def _ancilla_dim(k) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ParameterError(f"ancilla dimension k must be a positive integer, got {k!r}")
+    return int(k)
+
+
 def lift_state(psi: PureState, k: int) -> LiftedState:
     """Embed ``psi`` into the space with ancilla dimension k on both sides.
 
     Schmidt term i goes to block i // k and ancilla slot i % k; the terms are
     zero-padded to whole blocks and all blocks are summed in one contraction.
+    One row of ``_lift_states``.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"ancilla dimension k must be a positive integer, got {k!r}")
-    k = int(k)
-    if not psi.dims.unextended:
-        raise DimensionError("lift_state expects a state without ancillas")
     if psi.norm() == 0.0:
         raise DegenerateStateError("cannot lift the zero vector")
-    d = psi.dims
-    form = schmidt_decompose(psi)
-    n = form.rank
-    blocks = -(-n // k)
-    a_part = np.zeros((blocks * k, d.dA), dtype=np.complex128)
-    b_part = np.zeros((blocks * k, d.dB), dtype=np.complex128)
-    a_part[:n] = form.basis_a[:n]
-    b_part[:n] = form.coefficients[:n, None] * form.basis_b[:n]
+    lifted, ranks = _lift_states(psi.dims, psi.amplitudes[None], k)
+    n = int(ranks[0])
+    state = PureState(psi.dims.with_ancillas(k), lifted[0])
+    return LiftedState(state, source_rank=n, block_count=-(-n // int(k)))
+
+
+def _lift_states(dims: Dims, amplitudes: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted amplitudes (r, total of the enlarged dims) of a stack of
+    nonzero states (r, dims.total), and their Schmidt ranks.
+
+    Every row is padded with zero terms to the block count of the largest
+    rank in the stack; a zero term adds exact zeros to the sum.
+    """
+    k = _ancilla_dim(k)
+    if not dims.unextended:
+        raise DimensionError("lift_state expects a state without ancillas")
+    r = len(amplitudes)
+    coef, basis_a, basis_b, ranks = _schmidt_terms(amplitudes.reshape(r, dims.dA, dims.dB))
+    blocks = -(-int(ranks.max()) // k)
+    used = min(blocks * k, coef.shape[1])
+    kept = (np.arange(used) < ranks[:, None])[..., None]
+    a_part = np.zeros((r, blocks * k, dims.dA), dtype=np.complex128)
+    b_part = np.zeros((r, blocks * k, dims.dB), dtype=np.complex128)
+    a_part[:, :used] = np.where(kept, basis_a[:, :used], 0)
+    b_part[:, :used] = np.where(kept, coef[:, :used, None] * basis_b[:, :used], 0)
     out = np.einsum(
-        "nsa,ntb->asbt", a_part.reshape(blocks, k, d.dA), b_part.reshape(blocks, k, d.dB)
+        "rnsa,rntb->rasbt",
+        a_part.reshape(r, blocks, k, dims.dA),
+        b_part.reshape(r, blocks, k, dims.dB),
     )
-    lifted = PureState(d.with_ancillas(k), out.ravel())
-    return LiftedState(lifted, source_rank=n, block_count=blocks)
+    return out.reshape(r, -1), ranks
 
 
 def lift_operator(source: Operator, k: int) -> LiftedOperator:
-    """Lift an operator to the enlarged space: sum_{s,t} S (x) |ss><tt|."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"ancilla dimension k must be a positive integer, got {k!r}")
-    k = int(k)
-    if not source.dims.unextended:
-        raise DimensionError("lift_operator expects an operator without ancillas")
-    d = source.dims
-    s4 = source.matrix.reshape(d.dA, d.dB, d.dA, d.dB)
-    # one copy of S wherever the row ancillas agree and the column ancillas agree
-    big = np.zeros((d.dA, k, d.dB, k) * 2, dtype=np.complex128)
-    for s in range(k):
-        for t in range(k):
-            big[:, s, :, s, :, t, :, t] = s4
-    dims = d.with_ancillas(k)
+    """Lift an operator to the enlarged space: sum_{s,t} S (x) |ss><tt|.
+    One row of ``_lift_operators``."""
+    matrix = _lift_operators(source.dims, source.matrix[None], k)[0]
+    dims = source.dims.with_ancillas(k)
     # copies of the validated S: finite, and exactly as Hermitian as S
-    matrix = big.reshape(dims.total, dims.total)
     return LiftedOperator(Operator._unchecked(dims, matrix, hermitian=source.hermitian))
 
 
+def _lift_operators(dims: Dims, matrices: np.ndarray, k) -> np.ndarray:
+    """Lifted matrices (r, N, N) of a stack of operators (r, dims.total,
+    dims.total): one copy of S wherever the row ancillas agree and the column
+    ancillas agree."""
+    k = _ancilla_dim(k)
+    if not dims.unextended:
+        raise DimensionError("lift_operator expects an operator without ancillas")
+    r = len(matrices)
+    s4 = matrices.reshape(r, dims.dA, dims.dB, dims.dA, dims.dB)
+    big = np.zeros((r,) + (dims.dA, k, dims.dB, k) * 2, dtype=np.complex128)
+    for s in range(k):
+        for t in range(k):
+            big[:, :, s, :, s, :, t, :, t] = s4
+    n = dims.with_ancillas(k).total
+    return big.reshape(r, n, n)
+
+
 def lower_state(psi: PureState, k: int) -> PureState:
-    """Map any pure state of the enlarged space back: sum_s psi[a,s,b,s]."""
+    """Map any pure state of the enlarged space back: sum_s psi[a,s,b,s].
+    One row of ``_lower_states``."""
     d = psi.dims
     if d.kA != k or d.kB != k:
         raise DimensionError(
@@ -103,7 +130,15 @@ def lower_state(psi: PureState, k: int) -> PureState:
         )
     if psi.norm() == 0.0:
         raise DegenerateStateError("cannot lower the zero vector")
-    return PureState(Dims(d.dA, d.dB), np.einsum("asbs->ab", psi.as_tensor()).ravel())
+    return PureState(Dims(d.dA, d.dB), _lower_states(d, psi.amplitudes[None])[0])
+
+
+def _lower_states(dims: Dims, amplitudes: np.ndarray) -> np.ndarray:
+    """Lowered amplitudes (r, dA*dB) of a stack (r, dims.total) of
+    enlarged-space states with equal ancilla dimensions."""
+    r = len(amplitudes)
+    t = amplitudes.reshape(r, dims.dA, dims.kA, dims.dB, dims.kB)
+    return np.einsum("rasbs->rab", t).reshape(r, -1)
 
 
 def lower_operator(op: Operator, k: int) -> Operator:
@@ -158,7 +193,7 @@ def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
     Tr(S rho) = Tr(lift(S) lift(rho-ensemble)) for any decomposition of rho.
     """
     dims = _check_ensemble(ensemble)
-    lifted = np.stack([lift_state(state, k).state.amplitudes for _, state in ensemble])
+    lifted, _ = _lift_states(dims, np.stack([state.amplitudes for _, state in ensemble]), k)
     return _projector_sum(ensemble, lifted, dims.with_ancillas(k))
 
 
@@ -172,6 +207,5 @@ def lower_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
         raise DimensionError(
             f"ensemble states have ancilla dims ({dims.kA}, {dims.kB}), expected {k}"
         )
-    stacked = np.stack([state.as_tensor() for _, state in ensemble])
-    lowered = np.einsum("nasbs->nab", stacked).reshape(len(ensemble), -1)
+    lowered = _lower_states(dims, np.stack([state.amplitudes for _, state in ensemble]))
     return _projector_sum(ensemble, lowered, Dims(dims.dA, dims.dB))

@@ -50,13 +50,23 @@ def maximally_entangled_state(d: int) -> PureState:
 
 
 def random_hermitian(dims: Dims, seed) -> Operator:
-    """Random Hermitian operator from a seeded symmetric ensemble, trace 1."""
-    rng = np.random.default_rng(seed)
+    """Random Hermitian operator from a seeded symmetric ensemble, trace 1.
+    One row of ``_random_hermitians``."""
+    return Operator(dims, _random_hermitians(dims, [seed])[0], hermitian=True)
+
+
+def _random_hermitians(dims: Dims, seeds) -> np.ndarray:
+    """Matrices (r, n, n) of ``random_hermitian(dims, seed)`` for each seed,
+    symmetrized and scaled in place over the stack."""
     n = dims.total
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    matrix = (g + g.conj().T) / 2
-    matrix = matrix / np.trace(matrix).real
-    return Operator(dims, matrix, hermitian=True)
+    matrix = np.empty((len(seeds), n, n), dtype=np.complex128)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        matrix[row] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    matrix += matrix.conj().swapaxes(1, 2)
+    matrix /= 2
+    matrix /= np.trace(matrix, axis1=1, axis2=2).real[:, None, None]
+    return matrix
 
 
 @dataclass(frozen=True)

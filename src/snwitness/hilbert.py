@@ -75,6 +75,16 @@ class Dims:
         return Dims(1, self.dB, 1, self.kB)
 
 
+def _hermitian_deviation(matrix: np.ndarray) -> float | None:
+    """max |M - M^dag| if it reaches HERMITICITY_TOL * max(1, max |M_ij|),
+    None if M counts as Hermitian.  The bound is relative above entries of
+    modulus 1, so the rounding of a product like g g^dag at any scale passes."""
+    with np.errstate(invalid="ignore"):  # non-finite entries are rejected elsewhere
+        dev = float(np.abs(matrix - matrix.conj().T).max())
+        scale = max(1.0, float(np.abs(matrix).max()))
+        return None if dev < HERMITICITY_TOL * scale else dev
+
+
 def _as_readonly(values, shape, what) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.shape != shape:
@@ -129,8 +139,8 @@ class Operator:
         mat = _as_readonly(self.matrix, (n, n), "matrix")
         object.__setattr__(self, "matrix", mat)
         if self.hermitian:
-            dev = float(np.abs(mat - mat.conj().T).max())
-            if dev >= HERMITICITY_TOL:
+            dev = _hermitian_deviation(mat)
+            if dev is not None:
                 raise NotHermitianError(
                     f"operator flagged hermitian but max |M - M^dag| = {dev:g}"
                 )
@@ -209,20 +219,38 @@ def random_pure_state(dims: Dims, rank: int, seed) -> PureState:
 
     Coefficients are drawn bounded away from zero and the local bases from
     orthonormalized Gaussian matrices, so the rank is exact and the output
-    is a deterministic function of the seed.
+    is a deterministic function of the seed.  One row of
+    ``_random_pure_states``.
+    """
+    amps = _random_pure_states(dims, [rank], [seed])[0]
+    return PureState(dims, amps, normalized=True)
+
+
+def _random_pure_states(dims: Dims, ranks, seeds) -> np.ndarray:
+    """Amplitudes (r, dims.total) of ``random_pure_state(dims, rank, seed)``
+    for each pair of ``ranks`` and ``seeds``.
+
+    Each seed makes its own generator calls; the draws of equal rank are then
+    orthonormalized by one stacked QR per side and contracted by one einsum.
     """
     limit = min(dims.a_dim, dims.b_dim)
-    if not 1 <= rank <= limit:
-        raise ParameterError(f"rank must be in [1, {limit}], got {rank}")
-    rng = np.random.default_rng(seed)
-    coef = rng.uniform(0.35, 1.0, rank)
-    coef = np.sort(coef / np.linalg.norm(coef))[::-1]
-    ga = rng.normal(size=(dims.a_dim, rank)) + 1j * rng.normal(size=(dims.a_dim, rank))
-    gb = rng.normal(size=(dims.b_dim, rank)) + 1j * rng.normal(size=(dims.b_dim, rank))
-    qa, _ = np.linalg.qr(ga)
-    qb, _ = np.linalg.qr(gb)
-    amps = np.einsum("i,ai,bi->ab", coef, qa, qb).ravel()
-    return PureState(dims, amps, normalized=True)
+    out = np.empty((len(seeds), dims.a_dim, dims.b_dim), dtype=np.complex128)
+    groups: dict[int, list] = {}
+    for row, (rank, seed) in enumerate(zip(ranks, seeds)):
+        if not 1 <= rank <= limit:
+            raise ParameterError(f"rank must be in [1, {limit}], got {rank}")
+        rng = np.random.default_rng(seed)
+        coef = rng.uniform(0.35, 1.0, rank)
+        coef = np.sort(coef / np.linalg.norm(coef))[::-1]
+        ga = rng.normal(size=(dims.a_dim, rank)) + 1j * rng.normal(size=(dims.a_dim, rank))
+        gb = rng.normal(size=(dims.b_dim, rank)) + 1j * rng.normal(size=(dims.b_dim, rank))
+        groups.setdefault(rank, []).append((row, coef, ga, gb))
+    for members in groups.values():
+        rows, coef, ga, gb = (np.stack(part) for part in zip(*members))
+        qa, _ = np.linalg.qr(ga)
+        qb, _ = np.linalg.qr(gb)
+        out[rows] = np.einsum("ri,rai,rbi->rab", coef, qa, qb)
+    return out.reshape(len(seeds), dims.total)
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
@@ -232,28 +260,37 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     and the first entry of each left vector with modulus > 1e-12 is made
     real non-negative, with the compensating phase pushed into the right
     vector.  The reconstruction then reproduces the input exactly, not just
-    up to phase.
+    up to phase.  One row of ``_schmidt_terms``.
     """
     vec = psi.amplitudes
     if np.linalg.norm(vec) == 0.0:
         raise DegenerateStateError("Schmidt decomposition of the zero vector")
-    matrix = vec.reshape(psi.dims.a_dim, psi.dims.b_dim)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    basis_a = u.T.copy()
-    basis_b = vh.copy()
-    for i in range(len(s)):
-        sig = np.nonzero(np.abs(basis_a[i]) > 1e-12)[0]
-        if sig.size:
-            lead = basis_a[i][sig[0]]
-            phase = lead / abs(lead)
-            basis_a[i] = basis_a[i] / phase
-            basis_b[i] = basis_b[i] * phase
-    lead_coef = s[0]
-    rank = int(np.sum(s > DEFAULT_RANK_TOL * lead_coef))
-    coefficients = s.copy()
+    terms = _schmidt_terms(vec.reshape(1, psi.dims.a_dim, psi.dims.b_dim))
+    coefficients, basis_a, basis_b, rank = (part[0] for part in terms)
     for arr in (coefficients, basis_a, basis_b):
         arr.setflags(write=False)
-    return SchmidtForm(coefficients, basis_a, basis_b, rank)
+    return SchmidtForm(coefficients, basis_a, basis_b, int(rank))
+
+
+def _schmidt_terms(matrices: np.ndarray):
+    """Schmidt terms of a stack of (a, b) amplitude matrices by one stacked SVD.
+
+    Returns coefficients (r, m) in descending order, left vectors (r, m, a),
+    right vectors (r, m, b), with m = min(a, b), in the phase convention of
+    ``schmidt_decompose``, and the ranks (r,) above DEFAULT_RANK_TOL relative
+    to the leading coefficient.  Every left vector has unit norm, so it has
+    an entry of modulus > 1e-12.  The phase lead/|lead| takes |lead| from
+    ``np.hypot`` of the parts: that is the scalar complex ``abs`` bit for bit,
+    while ``np.abs`` of a complex array has its own vector loop, which rounds
+    differently.
+    """
+    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    basis_a = u.swapaxes(-1, -2)
+    first = (np.abs(basis_a) > 1e-12).argmax(axis=-1)
+    lead = np.take_along_axis(basis_a, first[..., None], axis=-1)
+    phase = lead / np.hypot(lead.real, lead.imag)
+    ranks = np.sum(s > DEFAULT_RANK_TOL * s[..., :1], axis=-1)
+    return s, basis_a / phase, vh * phase, ranks
 
 
 def schmidt_rank(psi: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -267,8 +304,8 @@ def schmidt_rank(psi: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
 def _require_hermitian(op: Operator):
     if op.hermitian:
         return
-    dev = float(np.abs(op.matrix - op.matrix.conj().T).max())
-    if dev >= HERMITICITY_TOL:
+    dev = _hermitian_deviation(op.matrix)
+    if dev is not None:
         raise NotHermitianError(f"operator is not Hermitian (max deviation {dev:g})")
 
 

@@ -445,9 +445,11 @@ def lambda_max_subtraction(
     S.  Both run on the one batched see-saw kernel ``_seesaw`` as a pencil,
     all restarts at once; degenerate starts (no support of the denominator
     form) are dropped.  If the numerator form is negative on the
-    denominator's kernel the threshold is reported as 0.  The caller
-    asserts that Z is non-negative on Schmidt class k; this is spot-checked
-    by sampling.  Needs 2 <= k <= min(dA, dB).
+    denominator's kernel the threshold is reported as 0.  S must be a
+    k-Schmidt witness: its minimum over Schmidt rank <= k-1 is computed
+    first, and a value below -positivity_tol raises PreconditionError.  The
+    caller asserts that Z is non-negative on Schmidt class k; this is
+    spot-checked by sampling.  Needs 2 <= k <= min(dA, dB).
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -463,6 +465,12 @@ def lambda_max_subtraction(
     _require_hermitian(s)
     _require_hermitian(z)
     _spot_check_positive_on_class(z, k, config)
+    level_min = _level_minimum(s, k - 1, config)[0]
+    if level_min < -config.positivity_tol:
+        raise PreconditionError(
+            f"level {k - 1} minimum of S is {level_min:g}: a {k}-Schmidt witness is "
+            f"non-negative on Schmidt rank <= {k - 1}"
+        )
 
     s4, z4 = s.as_tensor(), z.as_tensor()
     starts = _starts(config, s.dims.dA * (k - 1), 104729)

@@ -4,14 +4,31 @@ Everything here is deliberately written via a different route than the
 implementation under test: partial traces instead of SVD, term-wise
 Schmidt lowering instead of the direct ancilla contraction, eigenvalue
 counting instead of Schmidt forms, one per-restart loop per pencil
-instead of the batched see-saw kernel.  ``random_unit_hermitian`` is the
-one shared input generator: a Hermitian operator of unit Frobenius norm.
+instead of the batched see-saw kernel, one trial at a time through the
+single-object maps instead of the stacked suites of ``snwitness.checks``,
+a per-term phase loop instead of the stacked Schmidt kernel.
+``random_unit_hermitian`` is the one shared input generator: a Hermitian
+operator of unit Frobenius norm.
 """
 
 import numpy as np
 
-from snwitness import Operator, OptimizerConfig
-from snwitness.hilbert import _conditional
+from snwitness import (
+    Dims,
+    Operator,
+    OptimizerConfig,
+    PureState,
+    lift_ensemble,
+    lift_operator,
+    lift_state,
+    lower_ensemble,
+    lower_state,
+    product_state,
+    random_hermitian,
+    random_pure_state,
+    trace_pair,
+)
+from snwitness.hilbert import DEFAULT_RANK_TOL, _conditional
 from snwitness.witness import _starts
 
 
@@ -107,8 +124,6 @@ def lifted_seesaw_min(s, k, config):
     the value by less than config.convergence_tol.  Returns (best value,
     per-restart values, converged flag of the best).
     """
-    from snwitness import Operator, lift_operator
-
     identity = Operator(s.dims, np.eye(s.dims.total), hermitian=True)
     d = s.dims.with_ancillas(k)
     shape = (d.a_dim, d.b_dim, d.a_dim, d.b_dim)
@@ -210,3 +225,130 @@ def _pencil_seesaw(
         if best is None or (value > best if largest else value < best):
             best = value
     return best, kernel_flag
+
+
+def schmidt_by_term_loop(psi):
+    """Schmidt decomposition with the phase fixed term by term:
+    (coefficients, basis_a, basis_b, rank), each left vector's first entry of
+    modulus > 1e-12 made real non-negative by the scalar lead / abs(lead)."""
+    u, s, vh = np.linalg.svd(
+        psi.amplitudes.reshape(psi.dims.a_dim, psi.dims.b_dim), full_matrices=False
+    )
+    basis_a = u.T.copy()
+    basis_b = vh.copy()
+    for i in range(len(s)):
+        sig = np.nonzero(np.abs(basis_a[i]) > 1e-12)[0]
+        if sig.size:
+            lead = basis_a[i][sig[0]]
+            phase = lead / abs(lead)
+            basis_a[i] = basis_a[i] / phase
+            basis_b[i] = basis_b[i] * phase
+    return s, basis_a, basis_b, int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
+
+
+# The verify suites one trial at a time: the same seeds and draws as
+# ``snwitness.checks``, each identity evaluated on built operators.  Each
+# returns the per-trial errors.
+
+
+def identities_by_trial(trials, seed, d):
+    dims = Dims(d, d)
+    errors = []
+    for t in range(trials):
+        k = 2 + t % 2
+        rank = 1 + t % d
+        psi = random_pure_state(dims, rank, seed=(seed, 1, t))
+        s = random_hermitian(dims, seed=(seed, 2, t))
+        lifted_psi = lift_state(psi, k).state
+        lifted_s = lift_operator(s, k).operator
+        lhs = np.vdot(psi.amplitudes, s.matrix @ psi.amplitudes)
+        rhs = np.vdot(lifted_psi.amplitudes, lifted_s.matrix @ lifted_psi.amplitudes)
+        errors.append(float(abs(lhs - rhs)))
+    return errors
+
+
+def roundtrip_by_trial(trials, seed, d):
+    dims = Dims(d, d)
+    errors = []
+    for t in range(trials):
+        k = 2 + t % 2
+        rank = 1 + t % k
+        psi = random_pure_state(dims, rank, seed=(seed, 3, t))
+        back = lower_state(lift_state(psi, k).state, k)
+        errors.append(float(np.linalg.norm(back.amplitudes - psi.amplitudes)))
+    return errors
+
+
+def _random_ensemble(dims, seed, count, max_rank):
+    rng = np.random.default_rng(seed)
+    ensemble = []
+    for i in range(count):
+        weight = float(rng.uniform(0.1, 1.0))
+        rank = 1 + int(rng.integers(max_rank))
+        ensemble.append((weight, random_pure_state(dims, rank, seed=(seed, 4, i))))
+    return ensemble
+
+
+def _ensemble_operator(dims, ensemble):
+    out = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    for weight, state in ensemble:
+        out += weight * np.outer(state.amplitudes, state.amplitudes.conj())
+    return Operator(dims, out, hermitian=True)
+
+
+def trace_by_trial(trials, seed, d):
+    dims = Dims(d, d)
+    errors = []
+    for t in range(trials):
+        k = 2 + t % 2
+        s = random_hermitian(dims, seed=(seed, 5, t))
+        ensemble = _random_ensemble(dims, (seed, 6, t), count=3, max_rank=d)
+        rho = _ensemble_operator(dims, ensemble)
+        lifted_s = lift_operator(s, k).operator
+        gamma = lift_ensemble(ensemble, k)
+        errors.append(abs(trace_pair(s, rho) - trace_pair(lifted_s, gamma)))
+
+        big_dims = dims.with_ancillas(k)
+        big_ensemble = []
+        rng = np.random.default_rng((seed, 7, t))
+        for i in range(3):
+            weight = float(rng.uniform(0.1, 1.0))
+            rank = 1 + int(rng.integers(big_dims.a_dim))
+            big_ensemble.append(
+                (weight, random_pure_state(big_dims, rank, seed=(seed, 8, t, i)))
+            )
+        theta_big = _ensemble_operator(big_dims, big_ensemble)
+        theta = lower_ensemble(big_ensemble, k)
+        errors.append(abs(trace_pair(lifted_s, theta_big) - trace_pair(s, theta)))
+    return errors
+
+
+def product_pairs_by_trial(trials, seed, d):
+    dims = Dims(d, d)
+    errors = []
+    for t in range(trials):
+        k = 2 + t % 2
+        big = dims.with_ancillas(k)
+        s = random_hermitian(dims, seed=(seed, 9, t))
+        lifted_s = lift_operator(s, k).operator
+        pair = []
+        for j in (0, 1):
+            rng = np.random.default_rng((seed, 10, t, j))
+            a = rng.normal(size=big.a_dim) + 1j * rng.normal(size=big.a_dim)
+            b = rng.normal(size=big.b_dim) + 1j * rng.normal(size=big.b_dim)
+            a = PureState(big.a_factor(), a / np.linalg.norm(a), normalized=True)
+            b = PureState(big.b_factor(), b / np.linalg.norm(b), normalized=True)
+            pair.append(product_state(a, b))
+        lowered = [lower_state(p, k) for p in pair]
+        lhs = np.vdot(pair[0].amplitudes, lifted_s.matrix @ pair[1].amplitudes)
+        rhs = np.vdot(lowered[0].amplitudes, s.matrix @ lowered[1].amplitudes)
+        errors.append(float(abs(lhs - rhs)))
+    return errors
+
+
+SUITES_BY_TRIAL = {
+    "identities": identities_by_trial,
+    "roundtrip": roundtrip_by_trial,
+    "trace": trace_by_trial,
+    "lemma5": product_pairs_by_trial,
+}

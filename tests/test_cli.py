@@ -56,6 +56,25 @@ def test_classify_operator_file(tmp_path):
     assert read_report(out)["result"]["verdict"] == "PositiveOperator"
 
 
+def test_hermiticity_tolerance_is_relative_to_the_entries(tmp_path, capsys):
+    # g g^dag rounds to an asymmetry of about 1e-15 of its largest entry,
+    # which at scale 1e6 is above an absolute 1e-10
+    rng = np.random.default_rng(20)
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    psd = 1e6 * (g @ g.conj().T)
+    assert np.abs(psd - psd.conj().T).max() > 1e-10
+    path = write_json(tmp_path / "psd.json", operator_to_json(Operator(Dims(3, 3), psd)))
+    out = tmp_path / "report.json"
+    assert run_cli("classify", "--input", path, "--restarts", "4", "--output", str(out)) == 0
+    assert read_report(out)["result"]["verdict"] == "PositiveOperator"
+    # a relative asymmetry of 1e-6 is still rejected
+    skewed = psd.copy()
+    skewed[0, 1] += 1e-6 * np.abs(psd).max()
+    path = write_json(tmp_path / "skewed.json", operator_to_json(Operator(Dims(3, 3), skewed)))
+    assert run_cli("classify", "--input", path, "--restarts", "4") == 2
+    assert "not Hermitian" in capsys.readouterr().err
+
+
 def test_classify_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

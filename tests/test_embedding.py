@@ -26,7 +26,16 @@ from snwitness import (
     schmidt_rank,
     trace_pair,
 )
-from snwitness.hilbert import HERMITICITY_TOL, a_factor_state, b_factor_state, product_state
+from snwitness.embedding import _lift_operators, _lift_states, _lower_states, _projector_sum
+from snwitness.families import _random_hermitians
+from snwitness.hilbert import (
+    HERMITICITY_TOL,
+    _random_pure_states,
+    _schmidt_terms,
+    a_factor_state,
+    b_factor_state,
+    product_state,
+)
 
 from oracles import (
     contract_ancillas,
@@ -35,6 +44,7 @@ from oracles import (
     lower_state_by_schmidt,
     random_unit_hermitian,
     rank_from_reduced,
+    schmidt_by_term_loop,
 )
 
 D33 = Dims(3, 3)
@@ -508,3 +518,73 @@ def test_lift_lower_properties(problem):
     theta_big = ensemble_operator(big, big_ensemble)
     assert abs(trace_pair(lifted_s, theta_big) - trace_pair(s, theta)) < 1e-10
     assert np.abs(theta.matrix - lower_operator(theta_big, k).matrix).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: every public map is one row of its kernel, bit for bit
+
+SHAPES = [(d_a, d_b) for d_a in range(2, 6) for d_b in range(2, 6)]
+
+
+def every_rank_stack(dims, seed):
+    """Random states of every Schmidt rank (twice each), with their ranks and
+    seeds: a stack whose smaller ranks are zero-padded by the kernels."""
+    ranks = [1 + i % min(dims.dA, dims.dB) for i in range(2 * min(dims.dA, dims.dB))]
+    seeds = [(seed, i) for i in range(len(ranks))]
+    return ranks, seeds
+
+
+@pytest.mark.parametrize("d_a, d_b", SHAPES)
+def test_state_kernels_are_the_public_maps_row_by_row(d_a, d_b):
+    dims = Dims(d_a, d_b)
+    ranks, seeds = every_rank_stack(dims, (80, d_a, d_b))
+    amps = _random_pure_states(dims, ranks, seeds)
+    states = [random_pure_state(dims, r, seed=s) for r, s in zip(ranks, seeds)]
+    assert all(np.array_equal(row, psi.amplitudes) for row, psi in zip(amps, states))
+
+    coefficients, basis_a, basis_b, found = _schmidt_terms(amps.reshape(-1, d_a, d_b))
+    assert list(found) == ranks
+    for i, psi in enumerate(states):
+        form = schmidt_decompose(psi)
+        reference = schmidt_by_term_loop(psi)
+        for kernel, public, loop in zip(
+            (coefficients[i], basis_a[i], basis_b[i]),
+            (form.coefficients, form.basis_a, form.basis_b),
+            reference,
+        ):
+            assert np.array_equal(kernel, public) and np.array_equal(public, loop)
+        assert form.rank == reference[3] == ranks[i]
+
+    for k in (1, 2, 3):
+        lifted, lifted_ranks = _lift_states(dims, amps, k)
+        assert list(lifted_ranks) == ranks
+        for row, psi in zip(lifted, states):
+            assert np.array_equal(row, lift_state(psi, k).state.amplitudes)
+        ensemble = [(0.1 + 0.2 * i, psi) for i, psi in enumerate(states)]
+        by_member = np.stack([lift_state(psi, k).state.amplitudes for psi in states])
+        expected = _projector_sum(ensemble, by_member, dims.with_ancillas(k)).matrix
+        assert np.array_equal(lift_ensemble(ensemble, k).matrix, expected)
+
+
+@pytest.mark.parametrize("d_a, d_b", SHAPES)
+def test_operator_and_lowering_kernels_are_the_public_maps_row_by_row(d_a, d_b):
+    dims = Dims(d_a, d_b)
+    seeds = [(81, d_a, d_b, i) for i in range(3)]
+    matrices = _random_hermitians(dims, seeds)
+    operators = [random_hermitian(dims, seed=s) for s in seeds]
+    assert all(np.array_equal(m, op.matrix) for m, op in zip(matrices, operators))
+    for k in (1, 2, 3):
+        lifted = _lift_operators(dims, matrices, k)
+        for row, op in zip(lifted, operators):
+            assert np.array_equal(row, lift_operator(op, k).operator.matrix)
+
+        big = dims.with_ancillas(k)
+        ranks, seeds = every_rank_stack(big, (82, d_a, d_b, k))
+        amps = _random_pure_states(big, ranks, seeds)
+        states = [PureState(big, row) for row in amps]
+        lowered = _lower_states(big, amps)
+        for row, psi in zip(lowered, states):
+            assert np.array_equal(row, lower_state(psi, k).amplitudes)
+        ensemble = [(0.1 + 0.2 * i, psi) for i, psi in enumerate(states)]
+        expected = _projector_sum(ensemble, lowered, dims).matrix
+        assert np.array_equal(lower_ensemble(ensemble, k).matrix, expected)

@@ -594,10 +594,10 @@ def negative_on_the_kernel():
     return Operator(D33, matrix, hermitian=True), Operator(D33, z, hermitian=True), 2
 
 
-def test_subtraction_threshold_is_zero_when_s_is_negative_on_the_kernel_of_z():
-    result = lambda_max_subtraction(*negative_on_the_kernel(), CFG)
-    assert result.lambda0 == result.formula_min == 0.0
-    assert abs(result.formula_sup_inv - 1 / 9) < 1e-9
+def test_subtraction_requires_s_non_negative_below_class_k():
+    # S is negative on the product |22>: its level-1 minimum is 1/9 - 1/2
+    with pytest.raises(PreconditionError, match=r"level 1 minimum of S is -0\.388889"):
+        lambda_max_subtraction(*negative_on_the_kernel(), CFG)
 
 
 def test_subtraction_rejects_a_direction_without_support():
