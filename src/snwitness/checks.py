@@ -20,9 +20,11 @@ from .hilbert import Dims, Operator, _random_pure_states
 from .witness import OptimizerConfig, min_product_expectation
 
 
-def grid_product_min(
-    w: Operator, coarse: tuple[int, int] = (121, 240), refinements: int = 3
-) -> float:
+GRID_COARSE = (121, 240)  # (t, p) points of the first pass of grid_product_min
+GRID_REFINEMENTS = 3  # local 41 x 41 passes around the best point after it
+
+
+def grid_product_min(w: Operator) -> float:
     """Product minimum by dense enumeration of the A factor.
 
     For a two-dimensional A factor the unit vector is (cos t, sin t e^{ip});
@@ -45,13 +47,13 @@ def grid_product_min(
         i = int(np.argmin(vals))
         return float(vals[i]), float(th.ravel()[i]), float(ph.ravel()[i])
 
-    n_t, n_p = coarse
+    n_t, n_p = GRID_COARSE
     thetas = np.linspace(0.0, np.pi / 2, n_t)
     phis = np.linspace(0.0, 2 * np.pi, n_p, endpoint=False)
     value, t0, p0 = batch_min(thetas, phis)
     dt = thetas[1] - thetas[0]
     dp = phis[1] - phis[0]
-    for _ in range(refinements):
+    for _ in range(GRID_REFINEMENTS):
         thetas = np.linspace(t0 - dt, t0 + dt, 41)
         phis = np.linspace(p0 - dp, p0 + dp, 41)
         value, t0, p0 = batch_min(thetas, phis)
@@ -195,12 +197,8 @@ def suite_product_pairs(trials: int, seed: int, d: int = 3) -> dict:
     return _suite_report("lemma5", errors, tolerance=1e-9)
 
 
-def suite_oracle(
-    trials: int, seed: int, dims: Dims = Dims(2, 2), config: OptimizerConfig | None = None
-) -> dict:
+def suite_oracle(trials: int, seed: int, dims: Dims, config: OptimizerConfig) -> dict:
     """See-saw product minimum against the dense grid oracle."""
-    if config is None:
-        config = OptimizerConfig(seed=seed, restarts=32)
     errors = []
     for t in range(trials):
         h = random_hermitian(dims, seed=(seed, 11, t))

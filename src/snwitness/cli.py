@@ -8,6 +8,7 @@ report.  Exit codes: 0 success, 2 input error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -44,25 +45,31 @@ class CliInputError(SnWitnessError):
 # JSON representations
 
 
-def _pair_to_complex(pair, where: str) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise CliInputError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def _complex_from_pairs(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The complex array of ``shape`` written as nested [re, im] pairs, with
+    every bit of each number kept (-0.0 included)."""
+    try:
+        pairs = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliInputError(f"{where}: expected [re, im] pairs of numbers: {exc}") from exc
+    if pairs.shape != shape + (2,):
+        raise CliInputError(f"{where}: expected {shape} [re, im] pairs, got {pairs.shape}")
+    return pairs.view(np.complex128)[..., 0]
 
 
 def dims_to_json(dims: Dims) -> dict:
     return {"dA": dims.dA, "dB": dims.dB, "kA": dims.kA, "kB": dims.kB}
 
 
-def dims_from_json(data, where: str = "dims") -> Dims:
+def dims_from_json(data) -> Dims:
     if not isinstance(data, dict):
-        raise CliInputError(f"{where}: expected an object")
+        raise CliInputError("dims: expected an object")
     try:
         return Dims(
             int(data["dA"]), int(data["dB"]), int(data.get("kA", 1)), int(data.get("kB", 1))
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"{where}: {exc}") from exc
+        raise CliInputError(f"dims: {exc}") from exc
 
 
 def state_to_json(state: PureState) -> dict:
@@ -73,17 +80,8 @@ def state_to_json(state: PureState) -> dict:
 
 
 def state_from_json(data: dict) -> PureState:
-    dims = dims_from_json(data.get("dims"), "dims")
-    raw = data.get("amplitudes")
-    if not isinstance(raw, list):
-        raise CliInputError("amplitudes: expected a list of [re, im] pairs")
-    amps = np.array(
-        [_pair_to_complex(pair, f"amplitudes[{i}]") for i, pair in enumerate(raw)]
-    )
-    if amps.shape != (dims.total,):
-        raise CliInputError(
-            f"amplitudes: expected {dims.total} entries, got {len(amps)}"
-        )
+    dims = dims_from_json(data.get("dims"))
+    amps = _complex_from_pairs(data.get("amplitudes"), (dims.total,), "amplitudes")
     return PureState(dims, amps)
 
 
@@ -95,17 +93,8 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(data: dict) -> Operator:
-    dims = dims_from_json(data.get("dims"), "dims")
-    raw = data.get("matrix")
-    n = dims.total
-    if not isinstance(raw, list) or len(raw) != n:
-        raise CliInputError(f"matrix: expected {n} rows")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise CliInputError(f"matrix[{i}]: expected {n} entries")
-        rows.append([_pair_to_complex(pair, f"matrix[{i}][{j}]") for j, pair in enumerate(row)])
-    matrix = np.array(rows)
+    dims = dims_from_json(data.get("dims"))
+    matrix = _complex_from_pairs(data.get("matrix"), (dims.total,) * 2, "matrix")
     # non-finite entries count as not Hermitian here; Operator rejects them
     return Operator(dims, matrix, hermitian=_hermitian_deviation(matrix) is None)
 
@@ -459,9 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building one costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

@@ -46,7 +46,7 @@ def maximally_entangled_state(d: int) -> PureState:
     if d < 2:
         raise ParameterError(f"local dimension must be >= 2, got {d}")
     vec = np.eye(d, dtype=np.complex128).ravel() / np.sqrt(d)
-    return PureState(Dims(d, d), vec, normalized=True)
+    return PureState(Dims(d, d), vec)
 
 
 def random_hermitian(dims: Dims, seed) -> Operator:

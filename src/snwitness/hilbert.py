@@ -21,7 +21,6 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-10
-NORM_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 
 
@@ -99,23 +98,16 @@ def _as_readonly(values, shape, what) -> np.ndarray:
 class PureState:
     """A pure state vector with explicit dimension metadata.
 
-    Lifted states are deliberately unnormalized; set ``normalized`` only when
-    the squared norm is 1 within 1e-10.
+    States are not required to have unit norm: lifted states are
+    deliberately unnormalized.
     """
 
     dims: Dims
     amplitudes: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         amps = _as_readonly(self.amplitudes, (self.dims.total,), "amplitudes")
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized:
-            norm_sq = float(np.vdot(amps, amps).real)
-            if abs(norm_sq - 1.0) > NORM_TOL:
-                raise ParameterError(
-                    f"state flagged normalized but |psi|^2 = {norm_sq!r}"
-                )
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -146,7 +138,7 @@ class Operator:
                 )
 
     @classmethod
-    def _unchecked(cls, dims: Dims, matrix: np.ndarray, hermitian: bool = False) -> "Operator":
+    def _unchecked(cls, dims: Dims, matrix: np.ndarray, hermitian: bool) -> "Operator":
         """Wrap a complex (n, n) matrix that is finite, and within
         HERMITICITY_TOL of Hermitian if flagged, by construction from
         validated inputs: no copy and no checks, only the read-only flag."""
@@ -190,17 +182,7 @@ def normalize(psi: PureState) -> PureState:
     nrm = psi.norm()
     if nrm == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
-    return PureState(psi.dims, psi.amplitudes / nrm, normalized=True)
-
-
-def a_factor_state(vector, dims: Dims, normalized: bool = False) -> PureState:
-    """Wrap a vector living on the A-side factor of ``dims``."""
-    return PureState(dims.a_factor(), vector, normalized=normalized)
-
-
-def b_factor_state(vector, dims: Dims, normalized: bool = False) -> PureState:
-    """Wrap a vector living on the B-side factor of ``dims``."""
-    return PureState(dims.b_factor(), vector, normalized=normalized)
+    return PureState(psi.dims, psi.amplitudes / nrm)
 
 
 def product_state(a: PureState, b: PureState) -> PureState:
@@ -209,9 +191,7 @@ def product_state(a: PureState, b: PureState) -> PureState:
     if da.dB != 1 or da.kB != 1 or db.dA != 1 or db.kA != 1:
         raise DimensionError("product_state expects an A-side and a B-side factor")
     dims = Dims(da.dA, db.dB, da.kA, db.kB)
-    amps = np.outer(a.amplitudes, b.amplitudes).ravel()
-    normalized = a.normalized and b.normalized
-    return PureState(dims, amps, normalized=normalized)
+    return PureState(dims, np.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def random_pure_state(dims: Dims, rank: int, seed) -> PureState:
@@ -222,8 +202,7 @@ def random_pure_state(dims: Dims, rank: int, seed) -> PureState:
     is a deterministic function of the seed.  One row of
     ``_random_pure_states``.
     """
-    amps = _random_pure_states(dims, [rank], [seed])[0]
-    return PureState(dims, amps, normalized=True)
+    return PureState(dims, _random_pure_states(dims, [rank], [seed])[0])
 
 
 def _random_pure_states(dims: Dims, ranks, seeds) -> np.ndarray:
@@ -350,7 +329,7 @@ def min_eigenpair(h: Operator) -> tuple[float, PureState]:
     _require_hermitian(h)
     w, v = np.linalg.eigh(h.matrix)
     vec = np.ascontiguousarray(v[:, 0])
-    return float(w[0]), PureState(h.dims, vec, normalized=True)
+    return float(w[0]), PureState(h.dims, vec)
 
 
 def expectation(w: Operator, psi: PureState) -> float:

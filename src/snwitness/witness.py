@@ -28,8 +28,6 @@ from .hilbert import (
     PureState,
     _conditional,
     _require_hermitian,
-    a_factor_state,
-    b_factor_state,
     expectation,
     min_eigenpair,
     normalize,
@@ -40,6 +38,13 @@ from .hilbert import (
 POSITIVE = "PositiveOperator"
 SCHMIDT_WITNESS = "SchmidtWitness"
 
+MAX_ITERS = 500  # see-saw iterations per restart
+CONVERGENCE_TOL = 1e-10  # a restart stops once its value drops by less
+ZERO_TOL = 1e-6  # optimality_certificate keeps product states with |value| <= ZERO_TOL
+DETECTION_TOL = 1e-9  # detects: Tr(W rho) < -DETECTION_TOL, rho PSD to within it
+FINER_GRID = 200  # finer_certificate tries eps = i / FINER_GRID, 0 < i < FINER_GRID
+FINER_TOL = 1e-9  # finer_certificate accepts Z whose smallest eigenvalue is >= -FINER_TOL
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -47,10 +52,7 @@ class OptimizerConfig:
 
     seed: int = 0
     restarts: int = 64
-    max_iters: int = 500
-    convergence_tol: float = 1e-10
     positivity_tol: float = 1e-7
-    zero_tol: float = 1e-6
 
     def __post_init__(self):
         seed = self.seed
@@ -58,21 +60,19 @@ class OptimizerConfig:
             raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
         if self.restarts < 1:
             raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("convergence_tol", "positivity_tol", "zero_tol"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+        tol = self.positivity_tol
+        if not 0 <= tol < np.inf:
+            raise ParameterError(f"positivity_tol must be finite and >= 0, got {tol}")
 
     def to_json(self) -> dict:
+        """The settings and the module constants the see-saw runs with."""
         return {
             "seed": self.seed,
             "restarts": self.restarts,
-            "maxIters": self.max_iters,
-            "convergenceTol": self.convergence_tol,
+            "maxIters": MAX_ITERS,
+            "convergenceTol": CONVERGENCE_TOL,
             "positivityTol": self.positivity_tol,
-            "zeroTol": self.zero_tol,
+            "zeroTol": ZERO_TOL,
         }
 
 
@@ -87,7 +87,6 @@ class ProductMinResult:
     value: float
     arg_a: PureState
     arg_b: PureState
-    restarts_used: int
     converged: bool
     trace: tuple[float, ...]
 
@@ -193,7 +192,7 @@ def _lowest(p: np.ndarray, q: np.ndarray):
     return values, vectors[:, :, 0], negative
 
 
-def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float, q4=None):
+def _seesaw(s4: np.ndarray, k: int, starts, q4=None):
     """Rank-k see-saw on the (dA, dB, dA, dB) tensor of S, all restarts at once.
 
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
@@ -208,7 +207,8 @@ def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float, q4=None)
     the pencil <psi|S|psi> / <psi|Q|psi> (Q = I is the plain case), each
     half-step by ``_lowest``; a degenerate start, one whose conditional Q
     has no support, gets the value NaN and is dropped.  A restart leaves
-    the stack once its value drops by less than ``tol`` in an iteration.
+    the stack once its value drops by less than CONVERGENCE_TOL in an
+    iteration, or after MAX_ITERS iterations.
 
     Returns (values, A, B, converged, history, negative): per-restart final
     values, factors (without ``q4``, A of unit norm and B of unit norm for
@@ -236,7 +236,7 @@ def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float, q4=None)
     negative = np.zeros(r, dtype=bool)
     active = np.arange(r)
     history = []
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         if k > 1:
             a[active] = np.linalg.qr(a[active])[0]
         vals_b, vecs_b, neg_b = solve(s4, q4, a[active])
@@ -250,7 +250,7 @@ def _seesaw(s4: np.ndarray, k: int, starts, max_iters: int, tol: float, q4=None)
         step = np.full((r, 2), np.nan)
         step[active, 0], step[active, 1] = vals_b, vals_a
         history.append(step)
-        done = ~(values[active] - vals_a >= tol)
+        done = ~(values[active] - vals_a >= CONVERGENCE_TOL)
         values[active] = vals_a
         converged[active[done]] = True
         active = active[~done]
@@ -282,19 +282,12 @@ def min_product_expectation(
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     dims = w.dims.with_ancillas(k) if k > 1 else w.dims
-    values, a, b, converged, *_ = _seesaw(
-        w.as_tensor(),
-        k,
-        _starts(config, dims.a_dim),
-        config.max_iters,
-        config.convergence_tol,
-    )
+    values, a, b, converged, *_ = _seesaw(w.as_tensor(), k, _starts(config, dims.a_dim))
     best = int(np.argmin(values))
     return ProductMinResult(
         value=float(values[best]),
-        arg_a=a_factor_state(a[best].ravel(), dims, normalized=True),
-        arg_b=b_factor_state(b[best].ravel(), dims, normalized=k == 1),
-        restarts_used=config.restarts,
+        arg_a=PureState(dims.a_factor(), a[best].ravel()),
+        arg_b=PureState(dims.b_factor(), b[best].ravel()),
         converged=bool(converged[best]),
         trace=tuple(float(v) for v in values),
     )
@@ -374,14 +367,14 @@ def classify_schmidt_witness(
     )
 
 
-def detects(w: Operator, rho: Operator, tol: float = 1e-9) -> bool:
-    """True iff the state rho is detected by W, i.e. Tr(W rho) < -tol."""
+def detects(w: Operator, rho: Operator) -> bool:
+    """True iff the state rho is detected by W, i.e. Tr(W rho) < -DETECTION_TOL."""
     if w.dims != rho.dims:
         raise DimensionError(f"dims mismatch: {w.dims} vs {rho.dims}")
     rho_min = float(np.linalg.eigvalsh(rho.matrix)[0])
-    if rho_min < -tol:
+    if rho_min < -DETECTION_TOL:
         raise ParameterError(f"rho is not positive semidefinite (min eig {rho_min:g})")
-    return trace_pair(w, rho) < -tol
+    return trace_pair(w, rho) < -DETECTION_TOL
 
 
 def refine_by_subtraction(s: Operator, z: Operator, lam: float) -> Operator:
@@ -394,15 +387,13 @@ def refine_by_subtraction(s: Operator, z: Operator, lam: float) -> Operator:
     return Operator(s.dims, matrix, hermitian=s.hermitian and z.hermitian)
 
 
-def finer_certificate(
-    w1: Operator, w2: Operator, grid: int = 200, tol: float = 1e-9
-) -> FinerCertificate:
+def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
     """Search for (eps, Z PSD) with W2 = (1-eps) W1 + eps Z.
 
     Success certifies that W1 is finer than W2 (relative to positivity on
     all states).  The returned eps maximizes the smallest eigenvalue of the
-    candidate Z over the grid; on failure that same pair is the refutation
-    evidence.
+    candidate Z over the grid eps = i / FINER_GRID; on failure that same
+    pair is the refutation evidence.
     """
     if w1.dims != w2.dims:
         raise DimensionError(f"dims mismatch: {w1.dims} vs {w2.dims}")
@@ -410,21 +401,19 @@ def finer_certificate(
         tr = op.trace()
         if abs(tr - 1.0) > 1e-8:
             raise ParameterError(f"{name} must be trace-normalized, got trace {tr}")
-    if grid < 2:
-        raise ParameterError(f"grid must have at least 2 points, got {grid}")
     if float(np.abs(w1.matrix - w2.matrix).max()) < 1e-12:
         return FinerCertificate(True, 0.0, 0.0, None)
     evidence = []
     best = None
-    for i in range(1, grid):
-        eps = i / grid
+    for i in range(1, FINER_GRID):
+        eps = i / FINER_GRID
         candidate = (w2.matrix - (1 - eps) * w1.matrix) / eps
         min_eig = float(np.linalg.eigvalsh(candidate)[0])
         evidence.append((eps, min_eig))
         if best is None or min_eig > best[1]:
             best = (eps, min_eig, candidate)
     eps, min_eig, candidate = best
-    found = min_eig >= -tol
+    found = min_eig >= -FINER_TOL
     z = Operator(w1.dims, candidate, hermitian=True) if found else None
     return FinerCertificate(found, eps, min_eig, z, tuple(evidence))
 
@@ -474,7 +463,7 @@ def lambda_max_subtraction(
 
     s4, z4 = s.as_tensor(), z.as_tensor()
     starts = _starts(config, s.dims.dA * (k - 1), 104729)
-    run = (k - 1, starts, config.max_iters, config.convergence_tol)
+    run = (k - 1, starts)
     ratios, *_, negative = _seesaw(s4, *run, q4=z4)
     min_ratio = float(np.nanmin(ratios, initial=np.inf))
     if negative.any():
@@ -511,7 +500,7 @@ def optimality_certificate(
     """Dimension of the span of near-zero product states and an optimality flag.
 
     Runs independent single-restart product minimizations, keeps the product
-    states whose expectation is within zero_tol of zero, and reports the
+    states whose expectation is within ZERO_TOL of zero, and reports the
     dimension of their linear span.  A True flag (span equals the full space
     dimension) certifies that no strictly finer witness exists; a False flag
     is inconclusive.
@@ -520,14 +509,8 @@ def optimality_certificate(
     if not check.is_witness:
         raise PreconditionError("operator is not an entanglement witness")
     d = w.dims
-    values, a, b, *_ = _seesaw(
-        w.as_tensor(),
-        1,
-        _starts(config, d.a_dim, 7919),
-        config.max_iters,
-        config.convergence_tol,
-    )
-    near_zero = np.abs(values) <= config.zero_tol
+    values, a, b, *_ = _seesaw(w.as_tensor(), 1, _starts(config, d.a_dim, 7919))
+    near_zero = np.abs(values) <= ZERO_TOL
     if not near_zero.any():
         return 0, False
     zeros = np.einsum("ri,rj->rij", a[near_zero, :, 0], b[near_zero, :, 0])

@@ -29,7 +29,7 @@ from snwitness import (
     trace_pair,
 )
 from snwitness.hilbert import DEFAULT_RANK_TOL, _conditional
-from snwitness.witness import _starts
+from snwitness.witness import CONVERGENCE_TOL, MAX_ITERS, _starts
 
 
 def random_unit_hermitian(dims, seed):
@@ -121,7 +121,7 @@ def lifted_seesaw_min(s, k, config):
     eigenproblem of the two conditional operators; the denominator is
     <psi|psi> for the lowered state psi, so this is the minimum over unit
     states of Schmidt rank <= k.  A restart stops once an iteration lowers
-    the value by less than config.convergence_tol.  Returns (best value,
+    the value by less than CONVERGENCE_TOL.  Returns (best value,
     per-restart values, converged flag of the best).
     """
     identity = Operator(s.dims, np.eye(s.dims.total), hermitian=True)
@@ -143,10 +143,10 @@ def lifted_seesaw_min(s, k, config):
         a = rng.normal(size=d.a_dim) + 1j * rng.normal(size=d.a_dim)
         a /= np.linalg.norm(a)
         prev, converged = np.inf, False
-        for _ in range(config.max_iters):
+        for _ in range(MAX_ITERS):
             _, b = _min_ratio(on_b(w4, a), on_b(n4, a))
             value, a = _min_ratio(on_a(w4, b), on_a(n4, b))
-            if prev - value < config.convergence_tol:
+            if prev - value < CONVERGENCE_TOL:
                 converged = True
                 break
             prev = value
@@ -201,7 +201,7 @@ def _pencil_seesaw(
         a = start.reshape(1, da, k)
         value = None
         prev = None
-        for _ in range(config.max_iters):
+        for _ in range(MAX_ITERS):
             val_b, b, neg = _pencil_extreme(
                 _conditional(p4, a)[0], _conditional(q4, a)[0], largest
             )
@@ -217,7 +217,7 @@ def _pencil_seesaw(
                 break
             a = a.reshape(1, da, k)
             value = val_a
-            if prev is not None and abs(prev - value) < config.convergence_tol:
+            if prev is not None and abs(prev - value) < CONVERGENCE_TOL:
                 break
             prev = value
         if value is None:
@@ -336,8 +336,8 @@ def product_pairs_by_trial(trials, seed, d):
             rng = np.random.default_rng((seed, 10, t, j))
             a = rng.normal(size=big.a_dim) + 1j * rng.normal(size=big.a_dim)
             b = rng.normal(size=big.b_dim) + 1j * rng.normal(size=big.b_dim)
-            a = PureState(big.a_factor(), a / np.linalg.norm(a), normalized=True)
-            b = PureState(big.b_factor(), b / np.linalg.norm(b), normalized=True)
+            a = PureState(big.a_factor(), a / np.linalg.norm(a))
+            b = PureState(big.b_factor(), b / np.linalg.norm(b))
             pair.append(product_state(a, b))
         lowered = [lower_state(p, k) for p in pair]
         lhs = np.vdot(pair[0].amplitudes, lifted_s.matrix @ pair[1].amplitudes)

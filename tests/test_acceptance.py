@@ -36,7 +36,7 @@ from snwitness import (
 from snwitness.checks import grid_product_min
 from snwitness.cli import main
 from snwitness.families import IsotropicWitnessSpec
-from snwitness.hilbert import a_factor_state, b_factor_state, product_state
+from snwitness.hilbert import PureState, product_state
 
 GOLDEN = Path(__file__).parent / "golden"
 D33 = Dims(3, 3)
@@ -182,8 +182,8 @@ def test_criterion_6_matrix_element_identity_200_pairs():
             b = rng.normal(size=big.b_dim) + 1j * rng.normal(size=big.b_dim)
             pair.append(
                 product_state(
-                    a_factor_state(a / np.linalg.norm(a), big, normalized=True),
-                    b_factor_state(b / np.linalg.norm(b), big, normalized=True),
+                    PureState(big.a_factor(), a / np.linalg.norm(a)),
+                    PureState(big.b_factor(), b / np.linalg.norm(b)),
                 )
             )
         lhs = np.vdot(pair[0].amplitudes, lifted_s.matrix @ pair[1].amplitudes)
@@ -230,12 +230,12 @@ def test_criterion_8_subtraction_threshold_consistency():
 def test_criterion_9_finer_certificate_and_ordering():
     """Certificate for the finer pair, refutation reversed, ordered expectations."""
     w1, w2 = isotropic(1 / 3), isotropic(1 / 5)
-    cert = finer_certificate(w1, w2, grid=200)
+    cert = finer_certificate(w1, w2)
     assert cert.found
     assert abs(cert.epsilon - 0.5) < 1e-12
     assert np.abs(cert.z.matrix - np.eye(9) / 9).max() < 1e-9
 
-    refuted = finer_certificate(w2, w1, grid=200)
+    refuted = finer_certificate(w2, w1)
     assert not refuted.found
     assert refuted.min_eigenvalue < -1e-3
 

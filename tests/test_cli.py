@@ -12,10 +12,12 @@ from snwitness import (
     Dims,
     Operator,
     PreconditionError,
+    PureState,
     maximally_entangled_state,
     random_hermitian,
     random_pure_state,
 )
+import snwitness.cli as cli
 from snwitness.cli import _render, main, operator_to_json, state_from_json, state_to_json
 
 
@@ -44,6 +46,15 @@ def test_classify_family_member(tmp_path):
     assert report["result"]["verdict"] == "SchmidtWitness"
     assert report["result"]["k"] == 3
     assert report["inputs"]["config"]["seed"] == 3
+    # the constants the see-saw ran with are part of the report
+    assert list(report["inputs"]["config"].items()) == [
+        ("seed", 3),
+        ("restarts", 8),
+        ("maxIters", 500),
+        ("convergenceTol", 1e-10),
+        ("positivityTol", 1e-07),
+        ("zeroTol", 1e-06),
+    ]
     assert report["version"]
 
 
@@ -99,6 +110,64 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "non-finite" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[None, 0], ["x", 0], [1, [0]], [10**400, 0], "short"],
+    ids=["null", "string", "nested", "huge", "short"],
+)
+def test_malformed_numbers_exit_2(tmp_path, capsys, bad):
+    # each once ended in a TypeError, ValueError or OverflowError traceback, exit 1
+    small, big = Dims(2, 2), Dims(2, 2, 2, 2)  # classify and lift take small, lower big
+    jobs = [
+        ("classify", operator_to_json(random_hermitian(small, seed=93)), []),
+        ("lift", operator_to_json(random_hermitian(small, seed=93)), ["--k", "2"]),
+        ("lift", state_to_json(random_pure_state(small, rank=2, seed=94)), ["--k", "2"]),
+        ("lower", operator_to_json(random_hermitian(big, seed=93)), ["--k", "2"]),
+        ("lower", state_to_json(random_pure_state(big, rank=2, seed=94)), ["--k", "2"]),
+    ]
+    for command, payload, extra in jobs:
+        payload = json.loads(_render(payload))
+        field = "matrix" if "matrix" in payload else "amplitudes"
+        rows = payload["matrix"][1] if field == "matrix" else payload["amplitudes"]
+        if bad == "short":
+            rows.pop()
+        else:
+            rows[3] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(command, "--input", str(path), *extra) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert field in lines[0]  # rejected while reading the numbers
+
+
+def test_state_file_numbers_read_back_bit_for_bit(tmp_path):
+    pairs = np.array([[-0.0, 5e-324], [0.5, -0.0], [-5e-324, -0.0], [0.0, 1.0]])
+    amps = pairs.view(np.complex128)[:, 0]
+    write_json(tmp_path / "state.json", state_to_json(PureState(Dims(2, 2), amps)))
+    got = state_from_json(read_report(tmp_path / "state.json")).amplitudes
+    assert got.view(np.uint64).tolist() == amps.view(np.uint64).tolist()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.build_parser
+
+    def build_parser():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    try:
+        path = write_json(tmp_path / "state.json", state_to_json(maximally_entangled_state(2)))
+        for _ in range(3):
+            assert run_cli("lift", "--input", path, "--k", "2", "--output", str(tmp_path / "o")) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

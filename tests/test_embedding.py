@@ -32,8 +32,6 @@ from snwitness.hilbert import (
     HERMITICITY_TOL,
     _random_pure_states,
     _schmidt_terms,
-    a_factor_state,
-    b_factor_state,
     product_state,
 )
 
@@ -56,8 +54,8 @@ def random_factor_pair(dims, seed):
     a = rng.normal(size=dims.a_dim) + 1j * rng.normal(size=dims.a_dim)
     b = rng.normal(size=dims.b_dim) + 1j * rng.normal(size=dims.b_dim)
     return (
-        a_factor_state(a / np.linalg.norm(a), dims, normalized=True),
-        b_factor_state(b / np.linalg.norm(b), dims, normalized=True),
+        PureState(dims.a_factor(), a / np.linalg.norm(a)),
+        PureState(dims.b_factor(), b / np.linalg.norm(b)),
     )
 
 
@@ -191,8 +189,8 @@ def test_lower_product_with_aligned_ancillas():
     b_sys /= np.linalg.norm(b_sys)
     dims = D33.with_ancillas(2)
     anc = np.array([1.0, 0.0])
-    a = a_factor_state(np.kron(a_sys, anc), dims, normalized=True)
-    b = b_factor_state(np.kron(b_sys, anc), dims, normalized=True)
+    a = PureState(dims.a_factor(), np.kron(a_sys, anc))
+    b = PureState(dims.b_factor(), np.kron(b_sys, anc))
     lowered = lower_state(product_state(a, b), 2)
     assert np.abs(lowered.amplitudes - np.kron(a_sys, b_sys)).max() < 1e-12
 
@@ -209,8 +207,8 @@ def test_lower_product_inverts_lift_of_low_rank_states():
         for i in range(rank):
             a_part[:, i] = form.basis_a[i]
             b_part[:, i] = form.coefficients[i] * form.basis_b[i]
-        a = a_factor_state(a_part.ravel(), dims)
-        b = b_factor_state(b_part.ravel(), dims)
+        a = PureState(dims.a_factor(), a_part.ravel())
+        b = PureState(dims.b_factor(), b_part.ravel())
         lowered = lower_state(product_state(a, b), k)
         assert np.abs(lowered.amplitudes - psi.amplitudes).max() < 1e-10
 

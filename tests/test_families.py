@@ -63,7 +63,7 @@ def test_family_boundary_member_vanishes_on_every_conditional():
     rng = np.random.default_rng(79)
     for _ in range(20):
         vec = rng.normal(size=3) + 1j * rng.normal(size=3)
-        e = PureState(Dims(3, 1), vec / np.linalg.norm(vec), normalized=True)
+        e = PureState(Dims(3, 1), vec / np.linalg.norm(vec))
         conditional = (1 - a) * partial_expectation(s, e, side="A").matrix
         assert abs(np.linalg.eigvalsh(conditional)[0] - (1 / 9 - a / 3)) < 1e-9
 

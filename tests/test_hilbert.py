@@ -33,7 +33,7 @@ D33 = Dims(3, 3)
 def basis_state(dims, index):
     vec = np.zeros(dims.total, dtype=complex)
     vec[index] = 1.0
-    return PureState(dims, vec, normalized=True)
+    return PureState(dims, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_schmidt_reconstruction_and_orthonormality_500_states():
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         dims = Dims(da, db)
         vec = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
-        psi = PureState(dims, vec / np.linalg.norm(vec), normalized=True)
+        psi = PureState(dims, vec / np.linalg.norm(vec))
         form = schmidt_decompose(psi)
         worst = max(worst, np.abs(form.reconstruct() - psi.amplitudes).max())
         gram_a = form.basis_a.conj() @ form.basis_a.T
@@ -101,7 +101,7 @@ def test_schmidt_zero_vector_rejected():
 
 def test_schmidt_rank_cases():
     assert schmidt_rank(basis_state(Dims(2, 2), 1)) == 1  # |01>
-    bell = PureState(Dims(2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2), normalized=True)
+    bell = PureState(Dims(2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
     assert schmidt_rank(bell) == 2
     tiny = PureState(Dims(2, 2), np.array([1.0, 0, 0, 1e-9]))
     assert schmidt_rank(tiny, tol=1e-6) == 1
@@ -115,7 +115,7 @@ def test_schmidt_rank_cases():
 
 def test_partial_expectation_identity_factorizes():
     w = Operator(D33, np.eye(9) / 9, hermitian=True)
-    e = PureState(Dims(3, 1), np.array([1, 1j, -1]) / np.sqrt(3), normalized=True)
+    e = PureState(Dims(3, 1), np.array([1, 1j, -1]) / np.sqrt(3))
     out = partial_expectation(w, e, side="A")
     assert np.abs(out.matrix - np.eye(3) / 9).max() < 1e-12
 
@@ -126,7 +126,7 @@ def test_partial_expectation_isotropic_family_matrix():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     amps /= np.linalg.norm(amps)
-    e = PureState(Dims(3, 1), amps, normalized=True)
+    e = PureState(Dims(3, 1), amps)
     got = (1 - a) * partial_expectation(s, e, side="A").matrix
     expected = np.eye(3) / 9 - (a / 3) * np.outer(amps.conj(), amps)
     assert np.abs(got - expected).max() < 1e-12
@@ -139,7 +139,7 @@ def test_partial_expectation_real_amplitudes_match_rank_one_update():
     a = 0.3
     s = make_isotropic_witness(IsotropicWitnessSpec(a))
     lam = np.array([0.6, 0.48, 0.64])
-    e = PureState(Dims(3, 1), lam.astype(complex), normalized=True)
+    e = PureState(Dims(3, 1), lam.astype(complex))
     got = (1 - a) * partial_expectation(s, e, side="A").matrix
     for i in range(3):
         for j in range(3):
@@ -154,7 +154,7 @@ def test_partial_expectation_is_linear():
     alpha, beta = 0.7, -1.3
     combo = Operator(D33, alpha * w1.matrix + beta * w2.matrix, hermitian=True)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    e = PureState(Dims(3, 1), amps / np.linalg.norm(amps), normalized=True)
+    e = PureState(Dims(3, 1), amps / np.linalg.norm(amps))
     lhs = partial_expectation(combo, e).matrix
     rhs = alpha * partial_expectation(w1, e).matrix + beta * partial_expectation(w2, e).matrix
     assert np.abs(lhs - rhs).max() < 1e-10
@@ -165,7 +165,7 @@ def test_partial_expectation_side_b():
     rng = np.random.default_rng(10)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     amps /= np.linalg.norm(amps)
-    f = PureState(Dims(1, 3), amps, normalized=True)
+    f = PureState(Dims(1, 3), amps)
     out = partial_expectation(w, f, side="B")
     w4 = w.matrix.reshape(2, 3, 2, 3)
     expected = np.einsum("c,rcsd,d->rs", amps.conj(), w4, amps)
@@ -174,7 +174,7 @@ def test_partial_expectation_side_b():
 
 def test_partial_expectation_dimension_mismatch():
     w = random_hermitian(D33, seed=11)
-    e = PureState(Dims(2, 1), np.array([1, 0]), normalized=True)
+    e = PureState(Dims(2, 1), np.array([1, 0]))
     with pytest.raises(DimensionError):
         partial_expectation(w, e, side="A")
 
@@ -319,8 +319,6 @@ def test_dims_validation():
 def test_state_validation():
     with pytest.raises(DimensionError):
         PureState(Dims(2, 2), np.zeros(3))
-    with pytest.raises(ParameterError):
-        PureState(Dims(2, 2), np.array([1.0, 1.0, 0, 0]), normalized=True)
 
 
 def test_operator_validation():

@@ -72,7 +72,7 @@ def states_detected_by(w, count, seed, spread=0.4):
         g = rng.normal(size=9) + 1j * rng.normal(size=9)
         vec = phi + spread * g / np.linalg.norm(g)
         vec /= np.linalg.norm(vec)
-        rho = projector(PureState(D33, vec, normalized=True))
+        rho = projector(PureState(D33, vec))
         if trace_pair(w, rho) < -1e-9:
             found.append(rho)
             if len(found) == count:
@@ -130,7 +130,7 @@ def test_seesaw_iterations_never_increase():
         starts.append(rng.normal(size=3) + 1j * rng.normal(size=3))
     for t in range(10):
         w = random_hermitian(D33, seed=(62, t))
-        history = witness._seesaw(w.as_tensor(), 1, starts, 500, 1e-10)[4]
+        history = witness._seesaw(w.as_tensor(), 1, starts)[4]
         for r in range(len(starts)):
             assert np.all(np.diff(restart_history(history, r)) <= 1e-12)
 
@@ -139,7 +139,7 @@ def test_seesaw_monotone_on_lifted_operator():
     w = lift_operator(isotropic(0.2), 2).operator
     rng = np.random.default_rng(64)
     start = rng.normal(size=6) + 1j * rng.normal(size=6)
-    values, _, _, converged, history, _ = witness._seesaw(w.as_tensor(), 1, [start], 500, 1e-10)
+    values, _, _, converged, history, _ = witness._seesaw(w.as_tensor(), 1, [start])
     assert np.all(np.diff(restart_history(history, 0)) <= 1e-12)
     assert converged[0]
     assert values[0] >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
@@ -268,10 +268,9 @@ def test_product_min_requires_hermitian():
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimizerConfig(restarts=0)
-    for name in ("convergence_tol", "positivity_tol", "zero_tol"):
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ParameterError):
-                OptimizerConfig(**{name: bad})
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            OptimizerConfig(positivity_tol=bad)
     for bad in (-1, 1.5, True, None):
         with pytest.raises(ParameterError):
             OptimizerConfig(seed=bad)
@@ -398,27 +397,27 @@ def test_classify_respects_max_k():
 def test_detects_entangled_projector():
     w = isotropic(0.2)
     rho = projector(maximally_entangled_state(3))
-    assert detects(w, rho, tol=1e-9)
+    assert detects(w, rho)
     assert abs(trace_pair(w, rho) - (1 / 9 - 0.2) / 0.8) < 1e-12
 
 
 def test_detects_nothing_on_the_uniform_state():
     w = isotropic(0.2)
     uniform = Operator(D33, np.eye(9) / 9, hermitian=True)
-    assert not detects(w, uniform, tol=1e-9)
+    assert not detects(w, uniform)
 
 
 def test_psd_operator_detects_nothing():
     w = identity_over_nine()
     rho = projector(maximally_entangled_state(3))
-    assert not detects(w, rho, tol=1e-9)
+    assert not detects(w, rho)
 
 
 def test_detects_rejects_non_state():
     w = isotropic(0.2)
     not_psd = Operator(D33, np.diag([1.0] * 8 + [-1.0]), hermitian=True)
     with pytest.raises(ParameterError):
-        detects(w, not_psd, tol=1e-9)
+        detects(w, not_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +500,7 @@ def test_identical_witnesses_are_trivially_finer():
 
 
 def test_finer_certificate_for_family_pair():
-    cert = finer_certificate(isotropic(1 / 3), isotropic(1 / 5), grid=200)
+    cert = finer_certificate(isotropic(1 / 3), isotropic(1 / 5))
     assert cert.found
     assert abs(cert.epsilon - 0.5) < 1e-12
     assert np.abs(cert.z.matrix - np.eye(9) / 9).max() < 1e-9
@@ -509,7 +508,7 @@ def test_finer_certificate_for_family_pair():
 
 
 def test_finer_certificate_refuted_in_reverse():
-    cert = finer_certificate(isotropic(1 / 5), isotropic(1 / 3), grid=200)
+    cert = finer_certificate(isotropic(1 / 5), isotropic(1 / 3))
     assert not cert.found
     assert cert.z is None
     assert cert.min_eigenvalue < -1e-3
@@ -532,7 +531,7 @@ def test_finer_witness_on_kernel_states():
         perp = g - np.vdot(phi, g) * phi
         perp /= np.linalg.norm(perp)
         vec = np.sqrt(5 / 9) * phi + np.sqrt(4 / 9) * perp
-        rho = projector(PureState(D33, vec, normalized=True))
+        rho = projector(PureState(D33, vec))
         assert abs(trace_pair(w2, rho)) < 1e-10
         assert trace_pair(w1, rho) <= 1e-9
 
@@ -647,7 +646,7 @@ def test_pencil_kernel_matches_the_per_restart_reference(name):
     config = OptimizerConfig(seed=8, restarts=32)
     s4, z4 = s.as_tensor(), z.as_tensor()
     starts = witness._starts(config, s.dims.dA * (k - 1), 104729)
-    run = (k - 1, starts, config.max_iters, config.convergence_tol)
+    run = (k - 1, starts)
     ratios, *_, negative = witness._seesaw(s4, *run, q4=z4)
     best, flag = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
     assert abs(np.nanmin(ratios) - best) < 1e-9
@@ -664,8 +663,8 @@ def test_identity_pencil_is_the_plain_kernel(dims, k):
     s4 = s.as_tensor()
     identity = np.eye(s.dims.total).reshape(s4.shape)
     starts = witness._starts(CFG, dims[0] * k)
-    plain = witness._seesaw(s4, k, starts, 500, 1e-10)
-    pencil = witness._seesaw(s4, k, starts, 500, 1e-10, q4=identity)
+    plain = witness._seesaw(s4, k, starts)
+    pencil = witness._seesaw(s4, k, starts, q4=identity)
     assert np.abs(plain[0] - pencil[0]).max() < 1e-10
     assert not pencil[5].any()
 
