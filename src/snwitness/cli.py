@@ -24,7 +24,7 @@ from .families import (
     make_isotropic_witness,
     threshold_scan,
 )
-from .hilbert import Dims, Operator, PureState, _hermitian_deviation
+from .hilbert import Dims, Operator, PureState
 from .witness import (
     OptimizerConfig,
     WitnessClassification,
@@ -95,8 +95,7 @@ def operator_to_json(op: Operator) -> dict:
 def operator_from_json(data: dict) -> Operator:
     dims = dims_from_json(data.get("dims"))
     matrix = _complex_from_pairs(data.get("matrix"), (dims.total,) * 2, "matrix")
-    # non-finite entries count as not Hermitian here; Operator rejects them
-    return Operator(dims, matrix, hermitian=_hermitian_deviation(matrix) is None)
+    return Operator(dims, matrix)
 
 
 def load_payload(path: str) -> dict:

@@ -100,7 +100,7 @@ def lift_operator(source: Operator, k: int) -> LiftedOperator:
     matrix = _lift_operators(source.dims, source.matrix[None], k)[0]
     dims = source.dims.with_ancillas(k)
     # copies of the validated S: finite, and exactly as Hermitian as S
-    return LiftedOperator(Operator._unchecked(dims, matrix, hermitian=source.hermitian))
+    return LiftedOperator(Operator._unchecked(dims, matrix))
 
 
 def _lift_operators(dims: Dims, matrices: np.ndarray, k) -> np.ndarray:
@@ -155,7 +155,7 @@ def lower_operator(op: Operator, k: int) -> Operator:
     t8 = op.matrix.reshape(d.dA, k, d.dB, k, d.dA, k, d.dB, k)
     small = Dims(d.dA, d.dB)
     out = np.einsum("asbsctdt->abcd", t8).reshape(small.total, small.total)
-    return Operator(small, out, hermitian=op.hermitian)
+    return Operator(small, out)
 
 
 def _check_ensemble(ensemble):
@@ -183,7 +183,7 @@ def _projector_sum(ensemble, vectors: np.ndarray, dims: Dims) -> Operator:
         out = scaled.T @ scaled.conj()
     if not np.isfinite(out).all():
         raise ParameterError("ensemble projector sum has non-finite entries")
-    return Operator._unchecked(dims, out, hermitian=True)
+    return Operator._unchecked(dims, out)
 
 
 def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:

@@ -38,7 +38,7 @@ def make_isotropic_witness(spec: IsotropicWitnessSpec) -> Operator:
     d = spec.d
     phi = maximally_entangled_state(d).amplitudes
     matrix = (np.eye(d * d) / d**2 - spec.a * np.outer(phi, phi.conj())) / (1 - spec.a)
-    return Operator(Dims(d, d), matrix, hermitian=True)
+    return Operator(Dims(d, d), matrix)
 
 
 def maximally_entangled_state(d: int) -> PureState:
@@ -52,7 +52,7 @@ def maximally_entangled_state(d: int) -> PureState:
 def random_hermitian(dims: Dims, seed) -> Operator:
     """Random Hermitian operator from a seeded symmetric ensemble, trace 1.
     One row of ``_random_hermitians``."""
-    return Operator(dims, _random_hermitians(dims, [seed])[0], hermitian=True)
+    return Operator(dims, _random_hermitians(dims, [seed])[0])
 
 
 def _random_hermitians(dims: Dims, seeds) -> np.ndarray:
@@ -67,6 +67,9 @@ def _random_hermitians(dims: Dims, seeds) -> np.ndarray:
     matrix /= 2
     matrix /= np.trace(matrix, axis1=1, axis2=2).real[:, None, None]
     return matrix
+
+
+SCAN_LEVELS = (1, 2)  # the levels of the CSV's prodmin_l1 and prodmin_l2 columns
 
 
 @dataclass(frozen=True)
@@ -111,15 +114,14 @@ def threshold_scan(
     a_values,
     d: int = 3,
     config: OptimizerConfig = OptimizerConfig(),
-    levels: tuple[int, ...] = (1, 2),
     max_k: int | None = None,
     bisect: bool = False,
     bisect_tol: float = 5e-3,
 ) -> ScanResult:
     """Classify the isotropic family on a parameter grid.
 
-    Each row records the verdict plus the product minima at the requested
-    ancilla ``levels`` (computed even when classification stopped earlier).
+    Each row records the verdict plus the product minima at the ancilla
+    levels SCAN_LEVELS (computed even when classification stopped earlier).
     With ``bisect`` set, every verdict change between adjacent rows is
     located to within ``bisect_tol`` by bisecting the sign of the quantity
     that governs that boundary (the smallest eigenvalue against a positive
@@ -139,7 +141,7 @@ def threshold_scan(
         try:
             cls = classify_schmidt_witness(family(a), max_k, config)
             product_min = dict(cls.per_level_product_min)
-            for level in levels:
+            for level in SCAN_LEVELS:
                 if level not in product_min:
                     product_min[level] = _level_minimum(family(a), level, config)[0]
             rows.append(

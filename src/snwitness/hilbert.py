@@ -78,10 +78,9 @@ def _hermitian_deviation(matrix: np.ndarray) -> float | None:
     """max |M - M^dag| if it reaches HERMITICITY_TOL * max(1, max |M_ij|),
     None if M counts as Hermitian.  The bound is relative above entries of
     modulus 1, so the rounding of a product like g g^dag at any scale passes."""
-    with np.errstate(invalid="ignore"):  # non-finite entries are rejected elsewhere
-        dev = float(np.abs(matrix - matrix.conj().T).max())
-        scale = max(1.0, float(np.abs(matrix).max()))
-        return None if dev < HERMITICITY_TOL * scale else dev
+    dev = float(np.abs(matrix - matrix.conj().T).max())
+    scale = max(1.0, float(np.abs(matrix).max()))
+    return None if dev < HERMITICITY_TOL * scale else dev
 
 
 def _as_readonly(values, shape, what) -> np.ndarray:
@@ -120,32 +119,29 @@ class PureState:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square operator with the same index convention as PureState."""
+    """A Hermitian operator with the same index convention as PureState.
+    Hermiticity, like finiteness, is checked once, when it is built."""
 
     dims: Dims
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         n = self.dims.total
         mat = _as_readonly(self.matrix, (n, n), "matrix")
+        dev = _hermitian_deviation(mat)
+        if dev is not None:
+            raise NotHermitianError(f"operator is not Hermitian (max deviation {dev:g})")
         object.__setattr__(self, "matrix", mat)
-        if self.hermitian:
-            dev = _hermitian_deviation(mat)
-            if dev is not None:
-                raise NotHermitianError(
-                    f"operator flagged hermitian but max |M - M^dag| = {dev:g}"
-                )
 
     @classmethod
-    def _unchecked(cls, dims: Dims, matrix: np.ndarray, hermitian: bool) -> "Operator":
-        """Wrap a complex (n, n) matrix that is finite, and within
-        HERMITICITY_TOL of Hermitian if flagged, by construction from
-        validated inputs: no copy and no checks, only the read-only flag."""
+    def _unchecked(cls, dims: Dims, matrix: np.ndarray) -> "Operator":
+        """Wrap a complex (n, n) matrix that is finite and within
+        HERMITICITY_TOL of Hermitian by construction from validated inputs:
+        no copy and no checks, only the read-only flag."""
         matrix.setflags(write=False)
         op = object.__new__(cls)
-        for name, value in (("dims", dims), ("matrix", matrix), ("hermitian", hermitian)):
-            object.__setattr__(op, name, value)
+        object.__setattr__(op, "dims", dims)
+        object.__setattr__(op, "matrix", matrix)
         return op
 
     def trace(self) -> complex:
@@ -272,20 +268,9 @@ def _schmidt_terms(matrices: np.ndarray):
     return s, basis_a / phase, vh * phase, ranks
 
 
-def schmidt_rank(psi: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of Schmidt coefficients above the relative cutoff tol * lambda_1."""
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    form = schmidt_decompose(psi)
-    return int(np.sum(form.coefficients > tol * form.coefficients[0]))
-
-
-def _require_hermitian(op: Operator):
-    if op.hermitian:
-        return
-    dev = _hermitian_deviation(op.matrix)
-    if dev is not None:
-        raise NotHermitianError(f"operator is not Hermitian (max deviation {dev:g})")
+def schmidt_rank(psi: PureState) -> int:
+    """Number of Schmidt coefficients above DEFAULT_RANK_TOL * lambda_1."""
+    return schmidt_decompose(psi).rank
 
 
 def _conditional(t4: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -309,24 +294,22 @@ def partial_expectation(w: Operator, e: PureState, side: str = "A") -> Operator:
     ``side`` names the factor ``e`` lives on: for side "A" the result acts on
     the B-side factor (dimension dB*kB) and vice versa.  Linear in W.
     """
-    _require_hermitian(w)
     d = w.dims
     vec = e.amplitudes.reshape(1, -1, 1)
     if side == "A":
         if e.dims.a_dim != d.a_dim or e.dims.b_dim != 1:
             raise DimensionError("e must live on the A-side factor of W")
-        return Operator(d.b_factor(), _conditional(w.as_tensor(), vec)[0], hermitian=True)
+        return Operator(d.b_factor(), _conditional(w.as_tensor(), vec)[0])
     if side == "B":
         if e.dims.b_dim != d.b_dim or e.dims.a_dim != 1:
             raise DimensionError("e must live on the B-side factor of W")
         swapped = w.as_tensor().transpose(1, 0, 3, 2)
-        return Operator(d.a_factor(), _conditional(swapped, vec)[0], hermitian=True)
+        return Operator(d.a_factor(), _conditional(swapped, vec)[0])
     raise ParameterError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def min_eigenpair(h: Operator) -> tuple[float, PureState]:
-    """Smallest eigenvalue of a Hermitian operator and a unit eigenvector."""
-    _require_hermitian(h)
+    """Smallest eigenvalue of an operator and a unit eigenvector."""
     w, v = np.linalg.eigh(h.matrix)
     vec = np.ascontiguousarray(v[:, 0])
     return float(w[0]), PureState(h.dims, vec)
@@ -336,24 +319,14 @@ def expectation(w: Operator, psi: PureState) -> float:
     """Real expectation value <psi|W|psi>."""
     if w.dims != psi.dims:
         raise DimensionError(f"dims mismatch: {w.dims} vs {psi.dims}")
-    value = complex(np.vdot(psi.amplitudes, w.matrix @ psi.amplitudes))
-    if abs(value.imag) > 1e-8:
-        raise NotHermitianError(
-            f"expectation has imaginary part {value.imag:g}; operator not Hermitian?"
-        )
-    return value.real
+    return float(np.vdot(psi.amplitudes, w.matrix @ psi.amplitudes).real)
 
 
 def trace_pair(w: Operator, rho: Operator) -> float:
-    """Real trace Tr(W rho) of two Hermitian operators."""
+    """Real trace Tr(W rho) of two operators."""
     if w.dims != rho.dims:
         raise DimensionError(f"dims mismatch: {w.dims} vs {rho.dims}")
-    value = complex(np.sum(w.matrix * rho.matrix.T))
-    if abs(value.imag) > 1e-8:
-        raise NotHermitianError(
-            f"trace pair has imaginary part {value.imag:g}; inputs not Hermitian?"
-        )
-    return value.real
+    return float(np.sum(w.matrix * rho.matrix.T).real)
 
 
 def partial_transpose(w: Operator, side: str = "B") -> Operator:
@@ -366,4 +339,4 @@ def partial_transpose(w: Operator, side: str = "B") -> Operator:
         out = w4.transpose(0, 3, 2, 1)
     else:
         raise ParameterError(f"side must be 'A' or 'B', got {side!r}")
-    return Operator(d, out.reshape(d.total, d.total), hermitian=w.hermitian)
+    return Operator(d, out.reshape(d.total, d.total))

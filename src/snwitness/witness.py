@@ -27,7 +27,6 @@ from .hilbert import (
     Operator,
     PureState,
     _conditional,
-    _require_hermitian,
     expectation,
     min_eigenpair,
     normalize,
@@ -273,7 +272,6 @@ def min_product_expectation(
     ``arg_a`` has unit norm and ``arg_b`` orthonormal columns (norm sqrt(k)),
     so ``lowered()`` is the unit minimizer A B^T.
     """
-    _require_hermitian(w)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k > 1 and not w.dims.unextended:
@@ -384,7 +382,7 @@ def refine_by_subtraction(s: Operator, z: Operator, lam: float) -> Operator:
     if s.dims != z.dims:
         raise DimensionError(f"dims mismatch: {s.dims} vs {z.dims}")
     matrix = (s.matrix - lam * z.matrix) / (1 - lam)
-    return Operator(s.dims, matrix, hermitian=s.hermitian and z.hermitian)
+    return Operator(s.dims, matrix)
 
 
 def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
@@ -414,7 +412,7 @@ def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
             best = (eps, min_eig, candidate)
     eps, min_eig, candidate = best
     found = min_eig >= -FINER_TOL
-    z = Operator(w1.dims, candidate, hermitian=True) if found else None
+    z = Operator(w1.dims, candidate) if found else None
     return FinerCertificate(found, eps, min_eig, z, tuple(evidence))
 
 
@@ -423,7 +421,6 @@ def lambda_max_subtraction(
     z: Operator,
     k: int,
     config: OptimizerConfig = OptimizerConfig(),
-    refine_at: float | None = None,
 ) -> SubtractionResult:
     """Largest lambda keeping (S - lambda Z)/(1 - lambda) a k-Schmidt witness.
 
@@ -442,8 +439,6 @@ def lambda_max_subtraction(
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
-    if refine_at is not None and refine_at >= 1:
-        raise ParameterError(f"subtraction weight must be < 1, got {refine_at}")
     if s.dims != z.dims:
         raise DimensionError(f"dims mismatch: {s.dims} vs {z.dims}")
     if not s.dims.unextended:
@@ -451,8 +446,6 @@ def lambda_max_subtraction(
     limit = min(s.dims.dA, s.dims.dB)
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
-    _require_hermitian(s)
-    _require_hermitian(z)
     _spot_check_positive_on_class(z, k, config)
     level_min = _level_minimum(s, k - 1, config)[0]
     if level_min < -config.positivity_tol:
@@ -476,10 +469,8 @@ def lambda_max_subtraction(
     sup_ratio = -float(np.nanmin(_seesaw(-z4, *run, q4=s4)[0], initial=np.inf))
     formula_sup_inv = 1.0 / sup_ratio if sup_ratio > 0.0 else np.inf
 
-    lambda0 = formula_min
-    lam = refine_at if refine_at is not None else lambda0
-    refined = refine_by_subtraction(s, z, lam) if lam < 1.0 else None
-    return SubtractionResult(lambda0, formula_min, formula_sup_inv, refined)
+    refined = refine_by_subtraction(s, z, formula_min) if formula_min < 1.0 else None
+    return SubtractionResult(formula_min, formula_min, formula_sup_inv, refined)
 
 
 def _spot_check_positive_on_class(z: Operator, k: int, config: OptimizerConfig):

@@ -36,7 +36,7 @@ def random_unit_hermitian(dims, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
     h = g + g.conj().T
-    return Operator(dims, h / np.linalg.norm(h), hermitian=True)
+    return Operator(dims, h / np.linalg.norm(h))
 
 
 def reduced_density_a(state):
@@ -124,7 +124,7 @@ def lifted_seesaw_min(s, k, config):
     the value by less than CONVERGENCE_TOL.  Returns (best value,
     per-restart values, converged flag of the best).
     """
-    identity = Operator(s.dims, np.eye(s.dims.total), hermitian=True)
+    identity = Operator(s.dims, np.eye(s.dims.total))
     d = s.dims.with_ancillas(k)
     shape = (d.a_dim, d.b_dim, d.a_dim, d.b_dim)
     w4 = lift_operator(s, k).operator.matrix.reshape(shape)
@@ -293,7 +293,7 @@ def _ensemble_operator(dims, ensemble):
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for weight, state in ensemble:
         out += weight * np.outer(state.amplitudes, state.amplitudes.conj())
-    return Operator(dims, out, hermitian=True)
+    return Operator(dims, out)
 
 
 def trace_by_trial(trials, seed, d):

@@ -47,7 +47,7 @@ def isotropic(a, d=3):
 
 
 def identity_over_nine():
-    return Operator(D33, np.eye(9) / 9, hermitian=True)
+    return Operator(D33, np.eye(9) / 9)
 
 
 def test_criterion_1_threshold_reproduction():
@@ -143,7 +143,7 @@ def test_criterion_5_trace_correspondence_200_ensembles():
             ensemble.append((p, state))
             rho += p * np.outer(state.amplitudes, state.amplitudes.conj())
         gamma = lift_ensemble(ensemble, k)
-        lhs = trace_pair(s, Operator(D33, rho, hermitian=True))
+        lhs = trace_pair(s, Operator(D33, rho))
         worst_up = max(worst_up, abs(lhs - trace_pair(lifted_s, gamma)))
 
         big = D33.with_ancillas(k)
@@ -157,7 +157,7 @@ def test_criterion_5_trace_correspondence_200_ensembles():
             big_ensemble.append((p, state))
             theta_big += p * np.outer(state.amplitudes, state.amplitudes.conj())
         theta = lower_ensemble(big_ensemble, k)
-        rhs = trace_pair(lifted_s, Operator(big, theta_big, hermitian=True))
+        rhs = trace_pair(lifted_s, Operator(big, theta_big))
         worst_down = max(worst_down, abs(rhs - trace_pair(s, theta)))
     assert worst_up < 1e-9
     assert worst_down < 1e-9
@@ -246,7 +246,7 @@ def test_criterion_9_finer_certificate_and_ordering():
         g = rng.normal(size=9) + 1j * rng.normal(size=9)
         vec = phi + 0.4 * g / np.linalg.norm(g)
         vec /= np.linalg.norm(vec)
-        rho = Operator(D33, np.outer(vec, vec.conj()), hermitian=True)
+        rho = Operator(D33, np.outer(vec, vec.conj()))
         if trace_pair(w2, rho) < -1e-9:
             assert trace_pair(w1, rho) <= trace_pair(w2, rho) + 1e-10
             checked += 1

@@ -30,6 +30,11 @@ def write_json(path, payload):
     return str(path)
 
 
+def write_matrix(path, dims, matrix):
+    """An operator file holding any complex matrix, Hermitian or not."""
+    return write_json(path, {"dims": cli.dims_to_json(dims), "matrix": matrix})
+
+
 def read_report(path):
     return json.loads(path.read_text())
 
@@ -59,7 +64,7 @@ def test_classify_family_member(tmp_path):
 
 
 def test_classify_operator_file(tmp_path):
-    op = Operator(Dims(3, 3), np.eye(9) / 9, hermitian=True)
+    op = Operator(Dims(3, 3), np.eye(9) / 9)
     path = write_json(tmp_path / "psd.json", operator_to_json(op))
     out = tmp_path / "report.json"
     code = run_cli("classify", "--input", path, "--restarts", "4", "--output", str(out))
@@ -74,16 +79,33 @@ def test_hermiticity_tolerance_is_relative_to_the_entries(tmp_path, capsys):
     g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     psd = 1e6 * (g @ g.conj().T)
     assert np.abs(psd - psd.conj().T).max() > 1e-10
-    path = write_json(tmp_path / "psd.json", operator_to_json(Operator(Dims(3, 3), psd)))
+    path = write_matrix(tmp_path / "psd.json", Dims(3, 3), psd)
     out = tmp_path / "report.json"
     assert run_cli("classify", "--input", path, "--restarts", "4", "--output", str(out)) == 0
     assert read_report(out)["result"]["verdict"] == "PositiveOperator"
     # a relative asymmetry of 1e-6 is still rejected
     skewed = psd.copy()
     skewed[0, 1] += 1e-6 * np.abs(psd).max()
-    path = write_json(tmp_path / "skewed.json", operator_to_json(Operator(Dims(3, 3), skewed)))
+    path = write_matrix(tmp_path / "skewed.json", Dims(3, 3), skewed)
     assert run_cli("classify", "--input", path, "--restarts", "4") == 2
     assert "not Hermitian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lift", "--k", "2"], ["lower", "--k", "2"], ["classify", "--restarts", "4"]],
+)
+def test_non_hermitian_operator_files_exit_2(tmp_path, capsys, argv):
+    dims = Dims(3, 3, 2, 2) if argv[0] == "lower" else Dims(3, 3)
+    rng = np.random.default_rng(21)
+    matrix = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
+    path = write_matrix(tmp_path / "skewed.json", dims, matrix)
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--input", path, "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not Hermitian" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_classify_rejects_garbage(tmp_path):
@@ -99,7 +121,7 @@ def test_classify_rejects_missing_field(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
-    op = json.loads(_render(operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9, hermitian=True))))
+    op = json.loads(_render(operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9))))
     op["matrix"][1][2][0] = op["matrix"][2][1][0] = bad
     state = json.loads(_render(state_to_json(maximally_entangled_state(3))))
     state["amplitudes"][4][1] = bad
@@ -259,7 +281,7 @@ def test_lift_then_lower_state_roundtrip(tmp_path):
 
 
 def test_lift_operator_reports_trace(tmp_path):
-    op = Operator(Dims(3, 3), np.eye(9) / 9, hermitian=True)
+    op = Operator(Dims(3, 3), np.eye(9) / 9)
     path = write_json(tmp_path / "op.json", operator_to_json(op))
     out = tmp_path / "lifted.json"
     assert run_cli("lift", "--input", path, "--k", "2", "--output", str(out)) == 0
@@ -280,7 +302,7 @@ def test_lower_operator_through_its_eigenensemble(tmp_path):
     run_cli("lift", "--input", input_path, "--k", "2", "--output", str(lifted_report))
     lifted_state = state_from_json(read_report(lifted_report)["result"])
     vec = lifted_state.amplitudes
-    proj = Operator(lifted_state.dims, np.outer(vec, vec.conj()), hermitian=True)
+    proj = Operator(lifted_state.dims, np.outer(vec, vec.conj()))
     op_path = write_json(tmp_path / "proj.json", operator_to_json(proj))
     out = tmp_path / "lowered_op.json"
     assert run_cli("lower", "--input", op_path, "--k", "2", "--output", str(out)) == 0

@@ -9,6 +9,7 @@ from snwitness import (
     DegenerateStateError,
     DimensionError,
     Dims,
+    NotHermitianError,
     Operator,
     ParameterError,
     PureState,
@@ -152,7 +153,7 @@ def test_lift_operator_matches_einsum_oracle():
 
 
 def test_lift_operator_trace_scaling():
-    s = Operator(D33, np.eye(9) / 9, hermitian=True)
+    s = Operator(D33, np.eye(9) / 9)
     for k in (1, 2, 3):
         lifted = lift_operator(s, k).operator
         assert abs(lifted.trace() - k) < 1e-12
@@ -284,7 +285,7 @@ def ensemble_operator(dims, ensemble):
     total = np.zeros((dims.total, dims.total), dtype=complex)
     for p, state in ensemble:
         total += p * np.outer(state.amplitudes, state.amplitudes.conj())
-    return Operator(dims, total, hermitian=True)
+    return Operator(dims, total)
 
 
 def random_ensemble(dims, seed, count=4, max_rank=3):
@@ -369,7 +370,7 @@ def test_lower_ensemble_matches_schmidt_oracle():
             vec = lower_state_by_schmidt(state, k)
             expected += p * np.outer(vec, vec.conj())
         theta = lower_ensemble(ensemble, k)
-        assert theta.dims == Dims(d_a, d_b) and theta.hermitian
+        assert theta.dims == Dims(d_a, d_b)
         assert np.abs(theta.matrix - expected).max() < 1e-10
 
 
@@ -378,7 +379,7 @@ def test_lower_operator_is_the_ensemble_lowering_on_mixtures():
     dims = D33.with_ancillas(k)
     ensemble = random_ensemble(dims, 59, max_rank=dims.a_dim)
     lowered = lower_operator(ensemble_operator(dims, ensemble), k)
-    assert lowered.dims == D33 and lowered.hermitian
+    assert lowered.dims == D33
     assert np.abs(lowered.matrix - lower_ensemble(ensemble, k).matrix).max() < 1e-12
 
 
@@ -425,14 +426,14 @@ def test_overflowing_ensembles_are_rejected():
 def test_operators_built_without_validation_are_read_only_finite_and_hermitian():
     near = random_hermitian(D33, seed=63).matrix.copy()
     near[0, 1] += 3e-11j  # within HERMITICITY_TOL, so accepted as Hermitian
-    s = Operator(D33, near, hermitian=True)
+    s = Operator(D33, near)
     lifted = lift_operator(s, 3).operator
     gram = [
         lift_ensemble(random_ensemble(D33, 64), 3),
         lower_ensemble(random_ensemble(D33.with_ancillas(3), 65, max_rank=9), 3),
     ]
     for op in [lifted, *gram]:
-        assert op.hermitian and not op.matrix.flags.writeable
+        assert not op.matrix.flags.writeable
         assert np.isfinite(op.matrix).all()
         assert np.abs(op.matrix - op.matrix.conj().T).max() < HERMITICITY_TOL
         with pytest.raises(ValueError):
@@ -444,13 +445,15 @@ def test_operators_built_without_validation_are_read_only_finite_and_hermitian()
         assert np.abs(op.matrix - op.matrix.conj().T).max() <= 8 * np.finfo(float).eps * scale
 
 
-def test_lift_keeps_a_missing_hermitian_flag():
+def test_lift_source_must_be_hermitian():
     rng = np.random.default_rng(66)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    for source in (Operator(D33, m), Operator(D33, m + m.conj().T)):
-        lifted = lift_operator(source, 2).operator
-        assert not lifted.hermitian and not lifted.matrix.flags.writeable
-        assert np.array_equal(lifted.matrix, lift_operator_by_einsum(source.matrix, 3, 3, 2))
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        Operator(D33, m)
+    source = Operator(D33, m + m.conj().T)
+    lifted = lift_operator(source, 2).operator
+    assert not lifted.matrix.flags.writeable
+    assert np.array_equal(lifted.matrix, lift_operator_by_einsum(source.matrix, 3, 3, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -47,20 +47,18 @@ def isotropic(a, d=3):
 
 
 def identity_over_nine():
-    return Operator(D33, np.eye(9) / 9, hermitian=True)
+    return Operator(D33, np.eye(9) / 9)
 
 
 def bell_witness():
     """(id - 2 P) / 2 on 2x2: vanishes on products aligned with the Bell state."""
     phi = maximally_entangled_state(2).amplitudes
     mat = (np.eye(4) - 2 * np.outer(phi, phi.conj())) / 2
-    return Operator(Dims(2, 2), mat, hermitian=True)
+    return Operator(Dims(2, 2), mat)
 
 
 def projector(state):
-    return Operator(
-        state.dims, np.outer(state.amplitudes, state.amplitudes.conj()), hermitian=True
-    )
+    return Operator(state.dims, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def states_detected_by(w, count, seed, spread=0.4):
@@ -85,7 +83,7 @@ def states_detected_by(w, count, seed, spread=0.4):
 
 
 def test_product_min_of_scaled_identity():
-    w = Operator(Dims(2, 3), np.eye(6) / 6, hermitian=True)
+    w = Operator(Dims(2, 3), np.eye(6) / 6)
     result = min_product_expectation(w, CFG)
     assert abs(result.value - 1 / 6) < 1e-12
     assert result.converged
@@ -191,7 +189,7 @@ def rank_one_dips(draw):
     ratio = edges[gap] + draw(st.floats(0.05, 0.95)) * (edges[gap + 1] - edges[gap])
     a = draw(st.floats(0.2, 1.0))
     matrix = a * ratio * np.eye(d_a * d_b) - a * np.outer(phi, phi.conj())
-    s = Operator(Dims(d_a, d_b), matrix, hermitian=True)
+    s = Operator(Dims(d_a, d_b), matrix)
     return s, a * (ratio - sums), draw(st.integers(0, 2**32 - 1))
 
 
@@ -248,10 +246,10 @@ def test_rank_k_minimum_needs_k_at_most_the_smaller_factor():
     assert min_product_expectation(s, CFG, k=2).value >= min_eigenpair(s)[0] - 1e-9
     with pytest.raises(ParameterError):
         min_product_expectation(s, CFG, k=3)
-    # a scan level above min(dA, dB) covers every state: the smallest eigenvalue
+    # at d = 2 the scan level 2 = min(dA, dB) covers every state: the smallest eigenvalue
     config = OptimizerConfig(restarts=4)
-    scan = threshold_scan([0.1, 0.3], d=2, config=config, levels=(1, 3))
-    assert all(row.product_min[3] == row.min_eigenvalue for row in scan.rows)
+    scan = threshold_scan([0.1, 0.3], d=2, config=config)
+    assert all(row.product_min[2] == row.min_eigenvalue for row in scan.rows)
 
 
 def test_rank_k_minimum_needs_an_operator_without_ancillas():
@@ -260,9 +258,9 @@ def test_rank_k_minimum_needs_an_operator_without_ancillas():
 
 
 def test_product_min_requires_hermitian():
-    w = Operator(Dims(2, 2), np.diag([1.0, 2, 3, 4]) + np.eye(4, k=1))
-    with pytest.raises(NotHermitianError):
-        min_product_expectation(w, CFG)
+    # the constructor rejects the operator before any see-saw can see it
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        Operator(Dims(2, 2), np.diag([1.0, 2, 3, 4]) + np.eye(4, k=1))
 
 
 def test_config_validation():
@@ -403,7 +401,7 @@ def test_detects_entangled_projector():
 
 def test_detects_nothing_on_the_uniform_state():
     w = isotropic(0.2)
-    uniform = Operator(D33, np.eye(9) / 9, hermitian=True)
+    uniform = Operator(D33, np.eye(9) / 9)
     assert not detects(w, uniform)
 
 
@@ -415,7 +413,7 @@ def test_psd_operator_detects_nothing():
 
 def test_detects_rejects_non_state():
     w = isotropic(0.2)
-    not_psd = Operator(D33, np.diag([1.0] * 8 + [-1.0]), hermitian=True)
+    not_psd = Operator(D33, np.diag([1.0] * 8 + [-1.0]))
     with pytest.raises(ParameterError):
         detects(w, not_psd)
 
@@ -538,7 +536,7 @@ def test_finer_witness_on_kernel_states():
 
 def test_finer_certificate_validates_traces():
     w = isotropic(0.2)
-    bad = Operator(D33, 2 * np.eye(9), hermitian=True)
+    bad = Operator(D33, 2 * np.eye(9))
     with pytest.raises(ParameterError):
         finer_certificate(w, bad)
 
@@ -566,7 +564,7 @@ def test_subtraction_threshold_for_family_instance():
 
 def test_subtraction_rejects_directions_negative_on_the_class():
     s = isotropic(1 / 8)
-    bad = Operator(D33, -np.eye(9) / 9, hermitian=True)
+    bad = Operator(D33, -np.eye(9) / 9)
     with pytest.raises(PreconditionError):
         lambda_max_subtraction(s, bad, 3, CFG)
 
@@ -574,11 +572,15 @@ def test_subtraction_rejects_directions_negative_on_the_class():
 def test_subtraction_refine_at_requested_weight():
     s = isotropic(1 / 8)
     z = identity_over_nine()
-    result = lambda_max_subtraction(s, z, 3, CFG, refine_at=0.1)
+    # lambda_max_subtraction refines at its threshold; other weights go direct
+    result = lambda_max_subtraction(s, z, 3, CFG)
+    at_threshold = refine_by_subtraction(s, z, result.lambda0)
+    assert np.array_equal(result.refined.matrix, at_threshold.matrix)
+    refined = refine_by_subtraction(s, z, 0.1)
     expected = (s.matrix - 0.1 * z.matrix) / 0.9
-    assert np.abs(result.refined.matrix - expected).max() < 1e-15
+    assert np.abs(refined.matrix - expected).max() < 1e-15
     with pytest.raises(ParameterError):
-        lambda_max_subtraction(s, z, 3, CFG, refine_at=1.0)
+        refine_by_subtraction(s, z, 1.0)
 
 
 def negative_on_the_kernel():
@@ -590,7 +592,7 @@ def negative_on_the_kernel():
     matrix = np.eye(9) / 9
     matrix[8, 8] -= 0.5
     z = np.kron(np.diag([1.0, 1.0, 0.0]), np.eye(3))
-    return Operator(D33, matrix, hermitian=True), Operator(D33, z, hermitian=True), 2
+    return Operator(D33, matrix), Operator(D33, z), 2
 
 
 def test_subtraction_requires_s_non_negative_below_class_k():
@@ -600,7 +602,7 @@ def test_subtraction_requires_s_non_negative_below_class_k():
 
 
 def test_subtraction_rejects_a_direction_without_support():
-    zero = Operator(D33, np.zeros((9, 9)), hermitian=True)
+    zero = Operator(D33, np.zeros((9, 9)))
     with pytest.raises(PreconditionError):
         lambda_max_subtraction(isotropic(1 / 8), zero, 3, CFG)
 
@@ -619,7 +621,7 @@ def random_psd(dims, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
     m = g @ g.conj().T
-    return Operator(dims, m / np.trace(m).real, hermitian=True)
+    return Operator(dims, m / np.trace(m).real)
 
 
 def rank_one_dip(dims, seed):
@@ -628,7 +630,7 @@ def rank_one_dip(dims, seed):
     phi = random_pure_state(dims, 3, seed=seed).amplitudes
     weights = np.linalg.svd(phi.reshape(dims.dA, dims.dB), compute_uv=False) ** 2
     c = (weights[0] + weights[1] + 1) / 2
-    return Operator(dims, c * np.eye(dims.total) - np.outer(phi, phi.conj()), hermitian=True)
+    return Operator(dims, c * np.eye(dims.total) - np.outer(phi, phi.conj()))
 
 
 PENCILS = {
