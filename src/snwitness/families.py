@@ -180,8 +180,8 @@ def threshold_scan(
                 continue
             if left.verdict == right.verdict:
                 continue
-            predicate = _boundary_predicate(family, cls_left, cls_right, config)
-            a_star, width = _bisect_predicate(predicate, left.a, right.a, bisect_tol)
+            predicate, ends = _boundary_predicate(family, cls_left, cls_right, config)
+            a_star, width = _bisect_predicate(predicate, left.a, right.a, bisect_tol, ends)
             boundaries.append(
                 Boundary(left.verdict, right.verdict, left.a, right.a, a_star, width)
             )
@@ -189,9 +189,12 @@ def threshold_scan(
 
 
 def _boundary_predicate(family, cls_left, cls_right, config):
-    """Predicate that is True on the left verdict's side of the boundary."""
+    """Predicate that is True on the left verdict's side of the boundary, and
+    its values at the two rows, read from their classifications (the same
+    computations, so the same bits)."""
     tol = config.positivity_tol
     if cls_left.verdict == POSITIVE or cls_right.verdict == POSITIVE:
+        ends = (cls_left.min_eigenvalue, cls_right.min_eigenvalue)
 
         def predicate(a: float) -> bool:
             return min_eigenpair(family(a))[0] >= -tol
@@ -200,19 +203,20 @@ def _boundary_predicate(family, cls_left, cls_right, config):
         # as a grows the witness order drops; the boundary is where the
         # product minimum at the lower order's level changes sign
         level = min(cls_left.k, cls_right.k)
+        ends = (cls_left.per_level_product_min[level], cls_right.per_level_product_min[level])
 
         def predicate(a: float) -> bool:
             return _level_minimum(family(a), level, config)[0] >= -tol
 
-    return predicate
+    return predicate, tuple(value >= -tol for value in ends)
 
 
 MAX_HALVINGS = 200  # bounds the loop once the bracket stops shrinking in floats
 
 
-def _bisect_predicate(predicate, lo: float, hi: float, tol: float):
-    """Bisect a boolean predicate assumed True at lo and False at hi."""
-    if not predicate(lo) or predicate(hi):
+def _bisect_predicate(predicate, lo: float, hi: float, tol: float, ends):
+    """Bisect a boolean predicate whose values at lo and hi are ``ends``."""
+    if ends != (True, False):
         return 0.5 * (lo + hi), hi - lo  # no clean sign change on the bracket
     for _ in range(MAX_HALVINGS):
         if hi - lo <= 2 * tol:

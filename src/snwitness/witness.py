@@ -17,6 +17,7 @@ dimensions (see ``checks``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,6 @@ class SubtractionResult:
     """Largest subtraction weight along a fixed direction, both formulations."""
 
     lambda0: float
-    formula_min: float
     formula_sup_inv: float
     refined: Operator | None
 
@@ -151,19 +151,24 @@ class FinerCertificate:
     evidence: tuple[tuple[float, float], ...] = field(repr=False, default=())
 
 
-def _random_unit(rng, n: int) -> np.ndarray:
-    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return vec / np.linalg.norm(vec)
+@functools.lru_cache(maxsize=8)  # an operator shape needs at most three salts
+def _draws(seed: int, restarts: int, length: int, salt: tuple) -> np.ndarray:
+    """Read-only (restarts, length): row r holds the first ``length`` normals
+    of ``default_rng((seed, *salt, r))``, kept for the process's next calls."""
+    rngs = (np.random.default_rng((seed, *salt, r)) for r in range(restarts))
+    raw = np.array([rng.normal(size=length) for rng in rngs])
+    raw.flags.writeable = False
+    return raw
 
 
-def _starts(config: OptimizerConfig, n: int, *salt) -> np.ndarray:
-    """One seeded random unit start vector of length n per restart."""
-    return np.array(
-        [
-            _random_unit(np.random.default_rng((config.seed, *salt, r)), n)
-            for r in range(config.restarts)
-        ]
-    )
+def _starts(config: OptimizerConfig, dims: Dims, n: int, *salt) -> np.ndarray:
+    """One seeded random unit start per restart: n normals of its stream as real
+    parts, the next n as imaginary parts.  Draws are sequential, so every n
+    shares one stream, drawn to the longest start an operator of ``dims`` needs."""
+    length = 2 * dims.a_dim * min(dims.a_dim, dims.b_dim)
+    raw = _draws(config.seed, config.restarts, length, salt)
+    vecs = raw[:, :n] + 1j * raw[:, n : 2 * n]
+    return vecs / np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
 
 
 def _lowest(p: np.ndarray, q: np.ndarray):
@@ -280,7 +285,8 @@ def min_product_expectation(
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     dims = w.dims.with_ancillas(k) if k > 1 else w.dims
-    values, a, b, converged, *_ = _seesaw(w.as_tensor(), k, _starts(config, dims.a_dim))
+    starts = _starts(config, w.dims, dims.a_dim)
+    values, a, b, converged, *_ = _seesaw(w.as_tensor(), k, starts)
     best = int(np.argmin(values))
     return ProductMinResult(
         value=float(values[best]),
@@ -455,22 +461,22 @@ def lambda_max_subtraction(
         )
 
     s4, z4 = s.as_tensor(), z.as_tensor()
-    starts = _starts(config, s.dims.dA * (k - 1), 104729)
+    starts = _starts(config, s.dims, s.dims.dA * (k - 1), 104729)
     run = (k - 1, starts)
     ratios, *_, negative = _seesaw(s4, *run, q4=z4)
     min_ratio = float(np.nanmin(ratios, initial=np.inf))
     if negative.any():
-        formula_min = 0.0
+        lambda0 = 0.0
     elif min_ratio == np.inf:
         raise PreconditionError("every sampled direction was degenerate")
     else:
-        formula_min = max(min_ratio, 0.0)
+        lambda0 = max(min_ratio, 0.0)
 
     sup_ratio = -float(np.nanmin(_seesaw(-z4, *run, q4=s4)[0], initial=np.inf))
     formula_sup_inv = 1.0 / sup_ratio if sup_ratio > 0.0 else np.inf
 
-    refined = refine_by_subtraction(s, z, formula_min) if formula_min < 1.0 else None
-    return SubtractionResult(formula_min, formula_min, formula_sup_inv, refined)
+    refined = refine_by_subtraction(s, z, lambda0) if lambda0 < 1.0 else None
+    return SubtractionResult(lambda0, formula_sup_inv, refined)
 
 
 def _spot_check_positive_on_class(z: Operator, k: int, config: OptimizerConfig):
@@ -500,7 +506,7 @@ def optimality_certificate(
     if not check.is_witness:
         raise PreconditionError("operator is not an entanglement witness")
     d = w.dims
-    values, a, b, *_ = _seesaw(w.as_tensor(), 1, _starts(config, d.a_dim, 7919))
+    values, a, b, *_ = _seesaw(w.as_tensor(), 1, _starts(config, d, d.a_dim, 7919))
     near_zero = np.abs(values) <= ZERO_TOL
     if not near_zero.any():
         return 0, False

@@ -6,9 +6,10 @@ Schmidt lowering instead of the direct ancilla contraction, eigenvalue
 counting instead of Schmidt forms, one per-restart loop per pencil
 instead of the batched see-saw kernel, one trial at a time through the
 single-object maps instead of the stacked suites of ``snwitness.checks``,
-a per-term phase loop instead of the stacked Schmidt kernel.
-``random_unit_hermitian`` is the one shared input generator: a Hermitian
-operator of unit Frobenius norm.
+a per-term phase loop instead of the stacked Schmidt kernel, one generator
+per restart instead of the cached start draws.  ``random_unit_hermitian``
+(a Hermitian operator of unit Frobenius norm) and ``starts_by_restart``
+(the see-saw's start vectors) are the shared input generators.
 """
 
 import numpy as np
@@ -29,7 +30,19 @@ from snwitness import (
     trace_pair,
 )
 from snwitness.hilbert import DEFAULT_RANK_TOL, _conditional
-from snwitness.witness import CONVERGENCE_TOL, MAX_ITERS, _starts
+from snwitness.witness import CONVERGENCE_TOL, MAX_ITERS
+
+
+def starts_by_restart(config, n, *salt):
+    """One unit start vector of length n per restart, each from its own
+    generator ``default_rng((config.seed, *salt, r))``: n normals as real
+    parts, then n as imaginary parts."""
+    starts = []
+    for r in range(config.restarts):
+        rng = np.random.default_rng((config.seed, *salt, r))
+        vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+        starts.append(vec / np.linalg.norm(vec))
+    return np.array(starts)
 
 
 def random_unit_hermitian(dims, seed):
@@ -138,10 +151,7 @@ def lifted_seesaw_min(s, k, config):
         return np.tensordot(b.conj(), t, axes=(0, 0))
 
     values, flags = [], []
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
-        a = rng.normal(size=d.a_dim) + 1j * rng.normal(size=d.a_dim)
-        a /= np.linalg.norm(a)
+    for a in starts_by_restart(config, d.a_dim):
         prev, converged = np.inf, False
         for _ in range(MAX_ITERS):
             _, b = _min_ratio(on_b(w4, a), on_b(n4, a))
@@ -197,7 +207,7 @@ def _pencil_seesaw(
     p_swap, q_swap = p4.transpose(1, 0, 3, 2), q4.transpose(1, 0, 3, 2)
     best = None
     kernel_flag = False
-    for start in _starts(config, da * k, 104729):
+    for start in starts_by_restart(config, da * k, 104729):
         a = start.reshape(1, da, k)
         value = None
         prev = None

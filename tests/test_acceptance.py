@@ -33,6 +33,7 @@ from snwitness import (
     threshold_scan,
     trace_pair,
 )
+import snwitness.witness as witness
 from snwitness.checks import grid_product_min
 from snwitness.cli import main
 from snwitness.families import IsotropicWitnessSpec
@@ -214,7 +215,7 @@ def test_criterion_8_subtraction_threshold_consistency():
     z = identity_over_nine()
     config = OptimizerConfig(seed=8, restarts=32)
     result = lambda_max_subtraction(s, z, 3, config)
-    assert abs(result.formula_min - result.formula_sup_inv) < 1e-4
+    assert abs(result.lambda0 - result.formula_sup_inv) < 1e-4
 
     below = classify_schmidt_witness(refine_by_subtraction(s, z, result.lambda0 - 1e-2), config=config)
     above = classify_schmidt_witness(refine_by_subtraction(s, z, result.lambda0 + 1e-2), config=config)
@@ -222,7 +223,7 @@ def test_criterion_8_subtraction_threshold_consistency():
     assert above.k != 3
     print(
         f"\nPASS criterion 8: lambda0 = {result.lambda0:.6f} "
-        f"(forms differ by {abs(result.formula_min - result.formula_sup_inv):.2e}); "
+        f"(forms differ by {abs(result.lambda0 - result.formula_sup_inv):.2e}); "
         f"verdict below/above threshold: {below.k}-SW / {above.k}-SW"
     )
 
@@ -293,6 +294,41 @@ def test_criterion_10_determinism_against_golden(tmp_path, name):
     assert runs[0] == runs[1], "repeated runs differ"
     assert runs[0] == golden_path.read_bytes(), f"output differs from golden {name}"
     print(f"\nPASS criterion 10 [{name}]: byte-identical across runs and golden file")
+
+
+def construction_counts(monkeypatch, argv):
+    """Random generators built and product minimizations run by one CLI call
+    from an empty start-draw cache."""
+    counts = {"generators": 0, "product_min": 0}
+    real_rng, real_min = np.random.default_rng, witness.min_product_expectation
+
+    def default_rng(*args, **kwargs):
+        counts["generators"] += 1
+        return real_rng(*args, **kwargs)
+
+    def min_product_expectation(*args, **kwargs):
+        counts["product_min"] += 1
+        return real_min(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(witness, "min_product_expectation", min_product_expectation)
+    witness._draws.cache_clear()
+    assert main(argv) == 0
+    return counts
+
+
+def test_golden_scan_draws_each_start_once(monkeypatch, tmp_path):
+    # one stream per restart for all three rows, both levels and every
+    # bisection step; the bisection endpoints are read from the rows
+    argv = GOLDEN_COMMANDS["scan_thresholds.json"] + ["--output", str(tmp_path / "scan.json")]
+    assert construction_counts(monkeypatch, argv) == {"generators": 64, "product_min": 11}
+
+
+def test_classify_ladder_draws_each_start_once(monkeypatch, tmp_path):
+    # a 5-SW member: levels 1..4 run the see-saw from the same 64 streams
+    argv = ["classify", "--family", "isotropic", "--dim", "5", "--a", "0.045",
+            "--output", str(tmp_path / "classify.json")]
+    assert construction_counts(monkeypatch, argv) == {"generators": 64, "product_min": 4}
 
 
 def test_criterion_10_golden_content_is_consistent():

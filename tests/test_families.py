@@ -10,6 +10,7 @@ from snwitness import (
     Dims,
     OptimizerConfig,
     ParameterError,
+    classify_schmidt_witness,
     embedding,
     lambda_max_subtraction,
     lift_operator,
@@ -194,9 +195,28 @@ def test_bisection_stops_after_a_fixed_number_of_halvings():
         calls.append(a)
         return a < 0.3
 
-    a_star, width = _bisect_predicate(predicate, 0.1, 0.5, tol=0.0)
+    # the endpoint verdicts come from the scan rows, so only midpoints are evaluated
+    a_star, width = _bisect_predicate(predicate, 0.1, 0.5, 0.0, (True, False))
     assert abs(a_star - 0.3) < 1e-12 and width >= 0.0
-    assert len(calls) == 2 + families.MAX_HALVINGS
+    assert len(calls) == families.MAX_HALVINGS
+
+
+def test_bisection_without_a_sign_change_evaluates_nothing():
+    calls = []
+    a_star, width = _bisect_predicate(calls.append, 0.1, 0.5, 0.01, (True, True))
+    assert (a_star, width, calls) == (0.3, 0.4, [])
+
+
+@pytest.mark.parametrize("a_left, a_right", [(0.05, 0.125), (0.125, 0.2), (0.2, 0.4)])
+def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(a_left, a_right):
+    # positive | 3-SW reads the smallest eigenvalues; 3-SW | 2-SW and
+    # 2-SW | 1-SW read the product minimum at levels 2 and 1
+    def family(a):
+        return make_isotropic_witness(IsotropicWitnessSpec(a, 3))
+
+    rows = [classify_schmidt_witness(family(a), config=FAST) for a in (a_left, a_right)]
+    predicate, ends = families._boundary_predicate(family, *rows, FAST)
+    assert ends == (predicate(a_left), predicate(a_right)) == (True, False)
 
 
 def test_scan_lets_programming_errors_propagate(monkeypatch):

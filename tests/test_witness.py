@@ -1,11 +1,13 @@
 """Tests for product-state minimization, classification and refinement."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import _pencil_seesaw, lifted_seesaw_min, random_unit_hermitian
+from oracles import _pencil_seesaw, lifted_seesaw_min, random_unit_hermitian, starts_by_restart
 import snwitness.witness as witness
 from snwitness import (
     DimensionError,
@@ -557,7 +559,7 @@ def test_subtraction_threshold_for_family_instance():
     z = identity_over_nine()
     result = lambda_max_subtraction(s, z, 3, CFG)
     assert abs(result.lambda0 - 2 / 7) < 1e-6
-    assert abs(result.formula_min - result.formula_sup_inv) < 1e-4
+    assert abs(result.lambda0 - result.formula_sup_inv) < 1e-4
     assert result.refined is not None
     assert abs(result.refined.trace() - 1.0) < 1e-12
 
@@ -647,7 +649,7 @@ def test_pencil_kernel_matches_the_per_restart_reference(name):
     s, z, k = PENCILS[name]()
     config = OptimizerConfig(seed=8, restarts=32)
     s4, z4 = s.as_tensor(), z.as_tensor()
-    starts = witness._starts(config, s.dims.dA * (k - 1), 104729)
+    starts = witness._starts(config, s.dims, s.dims.dA * (k - 1), 104729)
     run = (k - 1, starts)
     ratios, *_, negative = witness._seesaw(s4, *run, q4=z4)
     best, flag = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
@@ -664,11 +666,64 @@ def test_identity_pencil_is_the_plain_kernel(dims, k):
     s = random_unit_hermitian(Dims(*dims), seed=(72, k))
     s4 = s.as_tensor()
     identity = np.eye(s.dims.total).reshape(s4.shape)
-    starts = witness._starts(CFG, dims[0] * k)
+    starts = witness._starts(CFG, s.dims, dims[0] * k)
     plain = witness._seesaw(s4, k, starts)
     pencil = witness._seesaw(s4, k, starts, q4=identity)
     assert np.abs(plain[0] - pencil[0]).max() < 1e-10
     assert not pencil[5].any()
+
+
+# ---------------------------------------------------------------------------
+# start vectors
+
+START_DIMS = {"2x3": Dims(2, 3), "3x3": D33, "4x4": Dims(4, 4), "3x3-k3": D33.with_ancillas(3)}
+START_SALTS = [(), (104729,), (7919,)]
+START_RESTARTS = [1, 5, 16, 64]
+
+
+def longest_start(dims):
+    return dims.a_dim * min(dims.a_dim, dims.b_dim)
+
+
+@pytest.mark.parametrize("name", START_DIMS)
+def test_starts_are_the_per_restart_draws_at_every_length(name):
+    # restart r of the reference has its own generator, so the reference for
+    # fewer restarts is a prefix of the one for 16; 64 is swept below
+    dims = START_DIMS[name]
+    for salt in START_SALTS:
+        for n in range(1, longest_start(dims) + 1):
+            reference = starts_by_restart(OptimizerConfig(seed=300, restarts=16), n, *salt)
+            for restarts in START_RESTARTS[:3]:
+                config = OptimizerConfig(seed=300, restarts=restarts)
+                got = witness._starts(config, dims, n, *salt)
+                assert got.tobytes() == reference[:restarts].tobytes(), (salt, n, restarts)
+
+
+def test_starts_are_the_per_restart_draws_at_every_seed():
+    # seeds 0..300, each with the next (dims, salt, restarts) and its own length
+    combos = list(itertools.product(START_DIMS.values(), START_SALTS, START_RESTARTS))
+    for seed in range(301):
+        dims, salt, restarts = combos[seed % len(combos)]
+        n = 1 + seed % longest_start(dims)
+        config = OptimizerConfig(seed=seed, restarts=restarts)
+        got = witness._starts(config, dims, n, *salt)
+        assert got.tobytes() == starts_by_restart(config, n, *salt).tobytes(), (seed, n)
+
+
+def test_start_draws_are_cached_read_only_and_the_seesaw_leaves_them():
+    s = random_unit_hermitian(Dims(3, 4), seed=73)
+    config = OptimizerConfig(seed=5, restarts=8)
+    witness._draws.cache_clear()
+    starts = witness._starts(config, s.dims, 6)
+    raw = witness._draws(5, 8, 18, ())
+    assert witness._draws.cache_info().hits == 1 and not raw.flags.writeable
+    with pytest.raises(ValueError):
+        raw[0, 0] = 0.0
+    before, starts_before = raw.copy(), starts.copy()
+    witness._seesaw(s.as_tensor(), 2, starts)
+    min_product_expectation(s, config, k=2)
+    assert raw.tobytes() == before.tobytes()
+    assert starts.tobytes() == starts_before.tobytes()
 
 
 # ---------------------------------------------------------------------------
