@@ -123,7 +123,7 @@ def _lifted_sandwich(dims: Dims, s: np.ndarray, k: int, u, w) -> np.ndarray:
     )
 
 
-def suite_identities(trials: int, seed: int, d: int = 3) -> dict:
+def suite_identities(trials: int, seed: int, d: int) -> dict:
     """Expectation values survive the lift: <psi|S|psi> = <lift|lift(S)|lift>."""
     dims = Dims(d, d)
     errors = np.empty(trials)
@@ -138,7 +138,7 @@ def suite_identities(trials: int, seed: int, d: int = 3) -> dict:
     return _suite_report("identities", errors, tolerance=1e-9)
 
 
-def suite_roundtrip(trials: int, seed: int, d: int = 3) -> dict:
+def suite_roundtrip(trials: int, seed: int, d: int) -> dict:
     """Lower inverts lift: ||lower(lift(psi)) - psi|| for rank <= k states."""
     dims = Dims(d, d)
     errors = np.empty(trials)
@@ -149,7 +149,7 @@ def suite_roundtrip(trials: int, seed: int, d: int = 3) -> dict:
     return _suite_report("roundtrip", errors, tolerance=1e-10)
 
 
-def suite_trace(trials: int, seed: int, d: int = 3) -> dict:
+def suite_trace(trials: int, seed: int, d: int) -> dict:
     """Trace pairings survive lifting and lowering of ensembles.
 
     Per trial, Tr(S rho) = Tr(lift(S) lift(rho-ensemble)) and
@@ -180,7 +180,7 @@ def suite_trace(trials: int, seed: int, d: int = 3) -> dict:
     return _suite_report("trace", errors.ravel(), tolerance=1e-9)
 
 
-def suite_product_pairs(trials: int, seed: int, d: int = 3) -> dict:
+def suite_product_pairs(trials: int, seed: int, d: int) -> dict:
     """Matrix elements of the lifted operator between enlarged product states
     equal the source matrix elements between the lowered states."""
     dims = Dims(d, d)

@@ -19,6 +19,7 @@ from .checks import SUITES, suite_oracle
 from .embedding import lift_operator, lift_state, lower_operator, lower_state
 from .errors import SnWitnessError
 from .families import (
+    SCAN_LEVELS,
     IsotropicWitnessSpec,
     ScanResult,
     make_isotropic_witness,
@@ -154,15 +155,15 @@ def scan_to_json(scan: ScanResult) -> dict:
 
 
 def scan_to_csv(scan: ScanResult) -> str:
-    lines = ["a,verdict,k,min_eig,prodmin_l1,prodmin_l2,restarts,converged"]
+    levels = [f"prodmin_l{level}" for level in SCAN_LEVELS]
+    lines = [",".join(["a,verdict,k,min_eig", *levels, "restarts,converged"])]
     for row in scan.rows:
         cells = [
             repr(row.a),
             row.verdict,
             "" if row.k is None else str(row.k),
             "" if np.isnan(row.min_eigenvalue) else repr(row.min_eigenvalue),
-            "" if 1 not in row.product_min else repr(row.product_min[1]),
-            "" if 2 not in row.product_min else repr(row.product_min[2]),
+            *("" if v is None else repr(v) for v in map(row.product_min.get, SCAN_LEVELS)),
             str(row.restarts),
             "true" if row.converged else "false",
         ]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SnWitnessError
-from .hilbert import Dims, Operator, PureState, min_eigenpair
+from .hilbert import Dims, Operator, PureState
 from .witness import (
     POSITIVE,
     OptimizerConfig,
@@ -69,7 +69,7 @@ def _random_hermitians(dims: Dims, seeds) -> np.ndarray:
     return matrix
 
 
-SCAN_LEVELS = (1, 2)  # the levels of the CSV's prodmin_l1 and prodmin_l2 columns
+SCAN_LEVELS = (1, 2)  # levels filled into every scan row: the CSV's prodmin_l* columns
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ def _verdict_label(classification: WitnessClassification) -> str:
 
 def threshold_scan(
     a_values,
-    d: int = 3,
-    config: OptimizerConfig = OptimizerConfig(),
+    d: int,
+    config: OptimizerConfig,
     max_k: int | None = None,
     bisect: bool = False,
     bisect_tol: float = 5e-3,
@@ -121,13 +121,13 @@ def threshold_scan(
     """Classify the isotropic family on a parameter grid.
 
     Each row records the verdict plus the product minima at the ancilla
-    levels SCAN_LEVELS (computed even when classification stopped earlier).
+    levels SCAN_LEVELS (computed even when classification stopped earlier);
+    it is converged only if the classification and every such fill-in are.
     With ``bisect`` set, every verdict change between adjacent rows is
-    located to within ``bisect_tol`` by bisecting the sign of the quantity
-    that governs that boundary (the smallest eigenvalue against a positive
-    verdict, the product minimum at the detecting level otherwise).  A row
-    whose classification fails with a package or linear-algebra error is
-    marked and the scan continues.
+    located to within ``bisect_tol`` by bisecting the sign of the level
+    minimum that governs that boundary (see ``_boundary_predicate``).  A
+    row whose classification fails with a package or linear-algebra error
+    is marked and the scan continues; pairs next to it are not bisected.
     """
     if not bisect_tol > 0:
         raise ParameterError(f"bisect_tol must be > 0, got {bisect_tol}")
@@ -136,14 +136,16 @@ def threshold_scan(
         return make_isotropic_witness(IsotropicWitnessSpec(a, d))
 
     rows = []
-    classifications: dict[float, WitnessClassification | None] = {}
     for a in sorted(float(x) for x in a_values):
         try:
-            cls = classify_schmidt_witness(family(a), max_k, config)
+            s = family(a)
+            cls = classify_schmidt_witness(s, max_k, config)
             product_min = dict(cls.per_level_product_min)
+            converged = cls.converged
             for level in SCAN_LEVELS:
                 if level not in product_min:
-                    product_min[level] = _level_minimum(family(a), level, config)[0]
+                    product_min[level], _, level_converged = _level_minimum(s, level, config)
+                    converged = converged and level_converged
             rows.append(
                 ScanRow(
                     a=a,
@@ -152,10 +154,9 @@ def threshold_scan(
                     min_eigenvalue=cls.min_eigenvalue,
                     product_min=dict(sorted(product_min.items())),
                     restarts=config.restarts,
-                    converged=cls.converged,
+                    converged=converged,
                 )
             )
-            classifications[a] = cls
         except (SnWitnessError, np.linalg.LinAlgError) as exc:  # record, keep scanning
             rows.append(
                 ScanRow(
@@ -169,18 +170,13 @@ def threshold_scan(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
-            classifications[a] = None
 
     boundaries = []
     if bisect:
         for left, right in zip(rows, rows[1:]):
-            cls_left = classifications[left.a]
-            cls_right = classifications[right.a]
-            if cls_left is None or cls_right is None:
+            if left.error or right.error or left.verdict == right.verdict:
                 continue
-            if left.verdict == right.verdict:
-                continue
-            predicate, ends = _boundary_predicate(family, cls_left, cls_right, config)
+            predicate, ends = _boundary_predicate(family, d, left, right, config)
             a_star, width = _bisect_predicate(predicate, left.a, right.a, bisect_tol, ends)
             boundaries.append(
                 Boundary(left.verdict, right.verdict, left.a, right.a, a_star, width)
@@ -188,27 +184,20 @@ def threshold_scan(
     return ScanResult(tuple(rows), tuple(boundaries))
 
 
-def _boundary_predicate(family, cls_left, cls_right, config):
+def _boundary_predicate(family, d: int, left: ScanRow, right: ScanRow, config):
     """Predicate that is True on the left verdict's side of the boundary, and
-    its values at the two rows, read from their classifications (the same
-    computations, so the same bits)."""
+    its values at the two rows.  It is the sign of the governing level's
+    minimum: level d (the smallest eigenvalue) next to a positive verdict,
+    else the lower witness order.  The rows hold those minima (level d as
+    ``min_eigenvalue`` when unlisted), so the ends are read, not recomputed."""
     tol = config.positivity_tol
-    if cls_left.verdict == POSITIVE or cls_right.verdict == POSITIVE:
-        ends = (cls_left.min_eigenvalue, cls_right.min_eigenvalue)
+    level = d if POSITIVE in (left.verdict, right.verdict) else min(left.k, right.k)
 
-        def predicate(a: float) -> bool:
-            return min_eigenpair(family(a))[0] >= -tol
+    def predicate(a: float) -> bool:
+        return _level_minimum(family(a), level, config)[0] >= -tol
 
-    else:
-        # as a grows the witness order drops; the boundary is where the
-        # product minimum at the lower order's level changes sign
-        level = min(cls_left.k, cls_right.k)
-        ends = (cls_left.per_level_product_min[level], cls_right.per_level_product_min[level])
-
-        def predicate(a: float) -> bool:
-            return _level_minimum(family(a), level, config)[0] >= -tol
-
-    return predicate, tuple(value >= -tol for value in ends)
+    ends = tuple(row.product_min.get(level, row.min_eigenvalue) >= -tol for row in (left, right))
+    return predicate, ends
 
 
 MAX_HALVINGS = 200  # bounds the loop once the bracket stops shrinking in floats

@@ -164,9 +164,10 @@ def _draws(seed: int, restarts: int, length: int, salt: tuple) -> np.ndarray:
 def _starts(config: OptimizerConfig, dims: Dims, n: int, *salt) -> np.ndarray:
     """One seeded random unit start per restart: n normals of its stream as real
     parts, the next n as imaginary parts.  Draws are sequential, so every n
-    shares one stream, drawn to the longest start an operator of ``dims`` needs."""
-    length = 2 * dims.a_dim * min(dims.a_dim, dims.b_dim)
-    raw = _draws(config.seed, config.restarts, length, salt)
+    shares one stream, drawn to the longest start an operator of ``dims`` needs
+    (rank min(dA, dB) without ancillas; with them only k = 1 runs)."""
+    rank = min(dims.a_dim, dims.b_dim) if dims.unextended else 1
+    raw = _draws(config.seed, config.restarts, 2 * dims.a_dim * rank, salt)
     vecs = raw[:, :n] + 1j * raw[:, n : 2 * n]
     return vecs / np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
 

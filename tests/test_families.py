@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import snwitness.cli as cli
 import snwitness.families as families
+import snwitness.witness as witness
 from snwitness import (
     Dims,
     OptimizerConfig,
@@ -207,16 +209,54 @@ def test_bisection_without_a_sign_change_evaluates_nothing():
     assert (a_star, width, calls) == (0.3, 0.4, [])
 
 
-@pytest.mark.parametrize("a_left, a_right", [(0.05, 0.125), (0.125, 0.2), (0.2, 0.4)])
-def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(a_left, a_right):
-    # positive | 3-SW reads the smallest eigenvalues; 3-SW | 2-SW and
-    # 2-SW | 1-SW read the product minimum at levels 2 and 1
-    def family(a):
-        return make_isotropic_witness(IsotropicWitnessSpec(a, 3))
+# isotropic thresholds: positive up to 1/d^2, level l negative beyond l/d
+BOUNDARY_PAIRS = [
+    pytest.param(3, 0.05, 0.125, id="0.05-0.125"),  # positive | 3-SW: level 3
+    pytest.param(3, 0.125, 0.2, id="0.125-0.2"),  # 3-SW | 2-SW: level 2
+    pytest.param(3, 0.2, 0.4, id="0.2-0.4"),  # 2-SW | 1-SW: level 1
+    # positive | 2-SW: level 3, which the 2-SW row does not list
+    pytest.param(3, 0.05, 0.2, id="0.05-0.2"),
+    pytest.param(2, 0.1, 0.3, id="d2-0.1-0.3"),  # positive | 2-SW: level 2, in both rows
+    pytest.param(2, 0.3, 0.6, id="d2-0.3-0.6"),  # 2-SW | 1-SW: level 1
+]
 
-    rows = [classify_schmidt_witness(family(a), config=FAST) for a in (a_left, a_right)]
-    predicate, ends = families._boundary_predicate(family, *rows, FAST)
+
+@pytest.mark.parametrize("d, a_left, a_right", BOUNDARY_PAIRS)
+def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(d, a_left, a_right):
+    def family(a):
+        return isotropic(a, d)
+
+    left, right = threshold_scan([a_left, a_right], d=d, config=FAST).rows
+    assert left.verdict != right.verdict
+    predicate, ends = families._boundary_predicate(family, d, left, right, FAST)
     assert ends == (predicate(a_left), predicate(a_right)) == (True, False)
+    # the end values are the governing level's minima, bit for bit
+    positive = "PositiveOperator" in (left.verdict, right.verdict)
+    level = d if positive else min(left.k, right.k)
+    for row in (left, right):
+        value = families._level_minimum(family(row.a), level, FAST)[0]
+        assert row.product_min.get(level, row.min_eigenvalue) == value
+
+
+def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
+    # a positive row runs no see-saw to classify, but its level 1 and 2
+    # fill-ins do; one iteration is too few for any restart to converge
+    monkeypatch.setattr(witness, "MAX_ITERS", 1)
+    (row,) = threshold_scan([0.05], d=3, config=FAST).rows
+    assert (row.verdict, row.converged) == ("PositiveOperator", False)
+    argv = ["scan", "--a-from", "0.05", "--a-to", "0.05", "--steps", "1", "--dim", "3",
+            "--restarts", "4", "--output", str(tmp_path / "scan.json")]
+    assert main(argv) == 3
+
+
+def test_scan_csv_level_columns_follow_scan_levels(monkeypatch):
+    monkeypatch.setattr(families, "SCAN_LEVELS", (1, 3))
+    monkeypatch.setattr(cli, "SCAN_LEVELS", (1, 3))
+    scan = threshold_scan([0.2], d=3, config=FAST)
+    header, line = cli.scan_to_csv(scan).splitlines()
+    assert header == "a,verdict,k,min_eig,prodmin_l1,prodmin_l3,restarts,converged"
+    (row,) = scan.rows
+    assert line.split(",")[4:6] == [repr(row.product_min[1]), repr(row.min_eigenvalue)]
 
 
 def test_scan_lets_programming_errors_propagate(monkeypatch):

@@ -682,7 +682,8 @@ START_RESTARTS = [1, 5, 16, 64]
 
 
 def longest_start(dims):
-    return dims.a_dim * min(dims.a_dim, dims.b_dim)
+    # rank-k starts up to k = min(dA, dB) without ancillas; k = 1 only with them
+    return dims.a_dim * min(dims.a_dim, dims.b_dim) if dims.unextended else dims.a_dim
 
 
 @pytest.mark.parametrize("name", START_DIMS)
@@ -724,6 +725,17 @@ def test_start_draws_are_cached_read_only_and_the_seesaw_leaves_them():
     min_product_expectation(s, config, k=2)
     assert raw.tobytes() == before.tobytes()
     assert starts.tobytes() == starts_before.tobytes()
+
+
+def test_start_draws_for_a_lifted_operator_are_one_column_long():
+    # the lifted 3x3 at k = 3 minimizes at k = 1 only: 2 * a_dim = 18 normals,
+    # not 2 * a_dim * min(a_dim, b_dim) = 162
+    lifted = lift_operator(isotropic(0.2), 3).operator
+    assert lifted.dims.a_dim == 9
+    witness._draws.cache_clear()
+    min_product_expectation(lifted, OptimizerConfig(seed=5, restarts=4))
+    witness._draws(5, 4, 18, ())
+    assert witness._draws.cache_info()[:2] == (1, 1)  # (hits, misses): one key
 
 
 # ---------------------------------------------------------------------------
