@@ -2,13 +2,16 @@
 
 Every command is a pure function of its arguments, input files and seed;
 reports embed the seed so a published number can be reproduced from its own
-report.  Exit codes: 0 success, 2 input error, 3 numerical non-convergence.
+report.  Exit codes: 0 success, 2 input error (an output that cannot be
+written included), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import sys
 
@@ -39,7 +42,8 @@ _INDENT = "  "  # reports are json.dumps(report, indent=2) text
 
 
 class CliInputError(SnWitnessError):
-    """Malformed command-line input or input file."""
+    """Malformed command-line input, an input file that is malformed or
+    cannot be read, or an output that cannot be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -181,54 +185,90 @@ def build_report(command: str, inputs: dict, result, diagnostics: dict | None = 
     }
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, stream):
+    """Every byte of every report is written here, as ``text``; perfbench
+    sums it into ``cli.report_bytes``."""
+    stream.write(text)
 
 
-def _render_array(arr: np.ndarray, level: int) -> str:
-    """A complex array as its nested [re, im] lists, by string joins.  The
-    entries are finite, as in every PureState and Operator, so each one is
-    written as its float repr."""
-    pairs = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
-    texts = list(map(float.__repr__, pairs.ravel().tolist()))
-    shape = arr.shape + (2,)
+def _write(pieces, output: str | None):
+    """Write the text ``pieces`` to the file ``output``, or to stdout when it
+    is None.  An output that cannot be opened or written is a CliInputError."""
+    try:
+        target = contextlib.nullcontext(sys.stdout)
+        if output:
+            target = open(output, "w", encoding="utf-8")
+        with target as stream:
+            for piece in pieces:
+                _emit(piece, stream)
+            stream.flush()
+    except OSError as exc:
+        raise CliInputError(f"cannot write {output or '<stdout>'}: {exc}") from exc
+
+
+def _template(shape: tuple[int, ...], level: int) -> str:
+    """The indent-2 text of a nested list of ``shape`` at ``level``, with
+    ``%s`` for each entry."""
+    text = "%s"
     for depth in reversed(range(len(shape))):
         inner = "\n" + _INDENT * (level + depth + 1)
-        template = "[" + inner + ("," + inner).join(["%s"] * shape[depth])
-        template += "\n" + _INDENT * (level + depth) + "]"
-        texts = list(map(template.__mod__, zip(*[iter(texts)] * shape[depth])))
-    return texts[0]
+        text = "[" + inner + ("," + inner).join([text] * shape[depth])
+        text += "\n" + _INDENT * (level + depth) + "]"
+    return text
 
 
-def _render(value, level: int = 0) -> str:
-    """The text of ``json.dumps(value, indent=2)``, with complex numpy arrays
-    written as nested [re, im] lists; scalars go through ``json.dumps``."""
+def _render_array(arr: np.ndarray, level: int):
+    """A complex array as its nested [re, im] lists: one piece per leading
+    row, a 1-D array in one piece.  The entries are finite, as in every
+    PureState and Operator, so each one is written as its float repr."""
+    pairs = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    if arr.ndim == 1:
+        yield _template(arr.shape + (2,), level) % tuple(map(float.__repr__, pairs.tolist()))
+        return
+    row = _template(arr.shape[1:] + (2,), level + 1)
+    inner = "\n" + _INDENT * (level + 1)
+    first, rest = "[" + inner + row, "," + inner + row
+    for i, values in enumerate(pairs.reshape(len(arr), -1)):
+        yield (rest if i else first) % tuple(map(float.__repr__, values.tolist()))
+    yield "\n" + _INDENT * level + "]"
+
+
+def _render(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=2)`` as a stream of pieces,
+    with complex numpy arrays written as nested [re, im] lists; scalars go
+    through ``json.dumps``.  A scalar item is one piece with its separator
+    and key and a matrix is one piece per row, so the whole text is never
+    held at once."""
     if isinstance(value, np.ndarray):
-        return _render_array(value, level)
+        yield from _render_array(value, level)
+        return
     if isinstance(value, dict):
         items = [
-            json.dumps(key if isinstance(key, str) else json.dumps(key))
-            + ": " + _render(item, level + 1)
+            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", item)
             for key, item in value.items()
         ]
         opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
-        items = [_render(item, level + 1) for item in value]
+        items = [("", item) for item in value]
         opening, closing = "[", "]"
     else:
-        return json.dumps(value)
+        yield json.dumps(value)
+        return
     if not items:
-        return opening + closing
+        yield opening + closing
+        return
     inner = "\n" + _INDENT * (level + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
+    separator = opening + inner
+    for key, item in items:
+        pieces = _render(item, level + 1)
+        yield separator + key + next(pieces)
+        yield from pieces
+        separator = "," + inner
+    yield "\n" + _INDENT * level + closing
 
 
 def _emit_report(report: dict, output: str | None):
-    _emit(_render(report) + "\n", output)
+    _write(itertools.chain(_render(report), ("\n",)), output)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +325,7 @@ def cmd_scan(args) -> int:
     )
     code = EXIT_OK if all(row.converged for row in scan.rows) else EXIT_NUMERICAL
     if args.format == "csv":
-        _emit(scan_to_csv(scan), args.output)
+        _write((scan_to_csv(scan),), args.output)
         return code
     report = build_report(
         "scan",

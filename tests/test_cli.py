@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import errno
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from snwitness import (
     Operator,
     PreconditionError,
     PureState,
+    lift_operator,
     maximally_entangled_state,
     random_hermitian,
     random_pure_state,
@@ -26,7 +29,7 @@ def run_cli(*argv):
 
 
 def write_json(path, payload):
-    path.write_text(_render(payload))
+    path.write_text("".join(_render(payload)))
     return str(path)
 
 
@@ -121,9 +124,9 @@ def test_classify_rejects_missing_field(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
-    op = json.loads(_render(operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9))))
+    op = json.loads("".join(_render(operator_to_json(Operator(Dims(3, 3), np.eye(9) / 9)))))
     op["matrix"][1][2][0] = op["matrix"][2][1][0] = bad
-    state = json.loads(_render(state_to_json(maximally_entangled_state(3))))
+    state = json.loads("".join(_render(state_to_json(maximally_entangled_state(3)))))
     state["amplitudes"][4][1] = bad
     for command, payload in (("classify", op), ("lift", state), ("lift", op)):
         path = write_json(tmp_path / "bad.json", payload)
@@ -150,7 +153,7 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, bad):
         ("lower", state_to_json(random_pure_state(big, rank=2, seed=94)), ["--k", "2"]),
     ]
     for command, payload, extra in jobs:
-        payload = json.loads(_render(payload))
+        payload = json.loads("".join(_render(payload)))
         field = "matrix" if "matrix" in payload else "amplitudes"
         rows = payload["matrix"][1] if field == "matrix" else payload["amplitudes"]
         if bad == "short":
@@ -401,8 +404,9 @@ REPORTS = {
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
-def test_reports_roundtrip_through_json(tmp_path, name):
-    """Every report is exactly the text json.dumps(report, indent=2) writes."""
+def test_reports_roundtrip_through_json(tmp_path, capsys, name):
+    """Every report is exactly the text json.dumps(report, indent=2) writes,
+    to stdout as to --output."""
     small, big = Dims(3, 3), Dims(2, 2, 2, 2)
     files = {
         "state": state_to_json(random_pure_state(small, rank=3, seed=93)),
@@ -417,6 +421,9 @@ def test_reports_roundtrip_through_json(tmp_path, name):
     text = out.read_text()
     report = json.loads(text)
     assert json.dumps(report, indent=2) + "\n" == text
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == text
     if name == "classify":
         assert report["result"]["detectedState"] is not None
     if name == "lift-operator-k4":
@@ -432,6 +439,10 @@ AWKWARD = {
     "non-finite": [float("nan"), float("inf"), -float("inf")],
     "1-d-array": np.array([-0.0 + 5e-324j, 0.1 + 0.2 + 1e16j, 1.7976931348623157e308 - 1j]),
     "non-square-array": np.arange(6).reshape(2, 3) * (0.1 - 1j / 3),
+    "3-d-array": np.arange(24).reshape(2, 3, 4) * (-0.1 + 1j / 7),
+    "lifted-signed-zeros": lift_operator(Operator(Dims(2, 2), np.array(
+        [[0.25, -0.0, 0, 0], [-0.0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+        dtype=complex)), 2).operator.matrix,
     "containers": {"e": {}, "l": [], "t": (1, None, True), "s": "\u00e9\"", 3: False, None: [[]]},
 }
 
@@ -451,4 +462,95 @@ def _as_pairs(value):
 def test_renderer_writes_the_json_module_text(name):
     value = AWKWARD[name]
     for nested in (value, {"outer": [value, {"inner": value}]}):
-        assert _render(nested) == json.dumps(_as_pairs(nested), indent=2)
+        assert "".join(_render(nested)) == json.dumps(_as_pairs(nested), indent=2)
+
+
+def test_lifted_signed_zeros_case_holds_both_zeros():
+    pairs = AWKWARD["lifted-signed-zeros"].view(np.float64)
+    signs = np.signbit(pairs[pairs == 0])
+    assert signs.any() and not signs.all()
+
+
+UNWRITABLE = {
+    "lift": ["lift", "--input", "{operator}", "--k", "2"],
+    "classify": ["classify", "--family", "isotropic", "--a", "0.2", "--dim", "2",
+                 "--restarts", "2"],
+    "scan-csv": ["scan", "--a-from", "0.1", "--a-to", "0.2", "--steps", "2", "--dim", "2",
+                 "--restarts", "2", "--format", "csv"],
+}
+
+
+class _FullStream:
+    """A stdout that fails like /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "full-stdout"])
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, name, where):
+    """An output that cannot be opened or written once ended in a traceback
+    with exit 1."""
+    operator = write_json(
+        tmp_path / "op.json", operator_to_json(random_hermitian(Dims(2, 2), seed=3))
+    )
+    argv = [arg.format(operator=operator) for arg in UNWRITABLE[name]]
+    if where == "missing-dir":
+        target = tmp_path / "missing" / "report"
+        argv += ["--output", str(target)]
+    else:
+        target = "<stdout>"
+        monkeypatch.setattr(cli.sys, "stdout", _FullStream())
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: [Errno ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--input", "{operator}", "--k", "4"],
+        ["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--restarts", "4",
+         "--format", "csv"],
+    ],
+    ids=["lift-k4", "scan-csv"],
+)
+def test_emitted_pieces_are_the_written_bytes(tmp_path, monkeypatch, argv):
+    """Every byte written passes through ``cli._emit`` as its first argument,
+    which is what the benchmark tracer counts as ``cli.report_bytes``."""
+    operator = write_json(
+        tmp_path / "op.json", operator_to_json(random_hermitian(Dims(3, 3), seed=4))
+    )
+    pieces = []
+    emit = cli._emit
+
+    def recording(text, stream):
+        pieces.append(text)
+        return emit(text, stream)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    out = tmp_path / "out"
+    assert run_cli(*[arg.format(operator=operator) for arg in argv], "--output", str(out)) == 0
+    assert "".join(pieces).encode("utf-8") == out.read_bytes()
+    if argv[0] == "lift":
+        assert len(pieces) > 144  # a piece per row of the 144 x 144 lifted matrix
+    else:
+        assert len(pieces) == 1
+
+
+def test_lift_report_memory_does_not_grow_with_its_text(tmp_path):
+    """The lifted operator is written a row at a time: at d = k = 4 the 3.4 MB
+    report never exists as one string (the lifted matrix itself is 1 MB)."""
+    operator = write_json(
+        tmp_path / "op.json", operator_to_json(random_hermitian(Dims(4, 4), seed=5))
+    )
+    out = tmp_path / "lifted.json"
+    argv = ["lift", "--input", operator, "--k", "4", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
