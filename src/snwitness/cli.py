@@ -410,16 +410,15 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliInputError(f"--trials must be >= 1, got {args.trials}")
     config = _config_from_args(args)
+    inputs = {"suite": args.suite, "trials": args.trials, "seed": args.seed}
     if args.suite == "oracle":
         dims = _parse_dims(args.dims)
+        inputs.update(dims=dims_to_json(dims), config=config.to_json())
         result = suite_oracle(args.trials, args.seed, dims=dims, config=config)
     else:
+        inputs["dim"] = args.dim
         result = SUITES[args.suite](args.trials, args.seed, d=args.dim)
-    report = build_report(
-        "verify",
-        {"suite": args.suite, "trials": args.trials, "seed": args.seed},
-        result,
-    )
+    report = build_report("verify", inputs, result)
     _emit_report(report, args.output)
     return EXIT_OK if result["pass"] else EXIT_NUMERICAL
 

@@ -22,4 +22,4 @@ class ParameterError(SnWitnessError):
 
 
 class PreconditionError(SnWitnessError):
-    """A caller-asserted precondition failed a spot check."""
+    """An input violates a precondition of the computation it was passed to."""

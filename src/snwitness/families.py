@@ -129,6 +129,10 @@ def threshold_scan(
     row whose classification fails with a package or linear-algebra error
     is marked and the scan continues; pairs next to it are not bisected.
     """
+    if d < 2:
+        raise ParameterError(f"local dimension must be >= 2, got {d}")
+    if max_k is not None and not 1 <= max_k <= d:
+        raise ParameterError(f"max_k must be in [1, {d}], got {max_k}")
     if not bisect_tol > 0:
         raise ParameterError(f"bisect_tol must be > 0, got {bisect_tol}")
 

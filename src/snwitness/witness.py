@@ -28,10 +28,8 @@ from .hilbert import (
     Operator,
     PureState,
     _conditional,
-    expectation,
     min_eigenpair,
     normalize,
-    random_pure_state,
     trace_pair,
 )
 
@@ -439,10 +437,11 @@ def lambda_max_subtraction(
     all restarts at once; degenerate starts (no support of the denominator
     form) are dropped.  If the numerator form is negative on the
     denominator's kernel the threshold is reported as 0.  S must be a
-    k-Schmidt witness: its minimum over Schmidt rank <= k-1 is computed
-    first, and a value below -positivity_tol raises PreconditionError.  The
-    caller asserts that Z is non-negative on Schmidt class k; this is
-    spot-checked by sampling.  Needs 2 <= k <= min(dA, dB).
+    k-Schmidt witness, non-negative on Schmidt rank <= k-1, and Z must be
+    non-negative on Schmidt class k: both minima are computed first by
+    ``_level_minimum`` (level k = min(dA, dB) is Z's smallest eigenvalue),
+    and a value below -positivity_tol raises PreconditionError.  Needs
+    2 <= k <= min(dA, dB).
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -453,13 +452,13 @@ def lambda_max_subtraction(
     limit = min(s.dims.dA, s.dims.dB)
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
-    _spot_check_positive_on_class(z, k, config)
-    level_min = _level_minimum(s, k - 1, config)[0]
-    if level_min < -config.positivity_tol:
-        raise PreconditionError(
-            f"level {k - 1} minimum of S is {level_min:g}: a {k}-Schmidt witness is "
-            f"non-negative on Schmidt rank <= {k - 1}"
-        )
+    for name, op, level in (("S", s, k - 1), ("Z", z, k)):
+        value = _level_minimum(op, level, config)[0]
+        if value < -config.positivity_tol:
+            raise PreconditionError(
+                f"level {level} minimum of {name} is {value:g}: {name} must be "
+                f"non-negative on Schmidt rank <= {level}"
+            )
 
     s4, z4 = s.as_tensor(), z.as_tensor()
     starts = _starts(config, s.dims, s.dims.dA * (k - 1), 104729)
@@ -478,18 +477,6 @@ def lambda_max_subtraction(
 
     refined = refine_by_subtraction(s, z, lambda0) if lambda0 < 1.0 else None
     return SubtractionResult(lambda0, formula_sup_inv, refined)
-
-
-def _spot_check_positive_on_class(z: Operator, k: int, config: OptimizerConfig):
-    """Sample states of Schmidt rank <= k and check <psi|Z|psi> >= -tol."""
-    for trial in range(50):
-        rank = 1 + trial % k
-        psi = random_pure_state(z.dims, rank, seed=(config.seed, 15485863, trial))
-        value = expectation(z, psi)
-        if value < -config.positivity_tol:
-            raise PreconditionError(
-                f"Z is negative ({value:g}) on a sampled state of Schmidt rank {rank}"
-            )
 
 
 def optimality_certificate(

@@ -244,6 +244,20 @@ def test_scan_rejects_bad_grid():
     assert run_cli("scan", "--a-from", "0.3", "--a-to", "0.1", "--steps", "2") == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--dim", "3", "--max-k", "0"], ["--dim", "3", "--max-k", "4"], ["--dim", "1"]],
+)
+def test_scan_bad_dimension_or_max_k_exits_2_like_classify(capsys, extra):
+    errors = []
+    for argv in (["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3"],
+                 ["classify", "--family", "isotropic", "--a", "0.2"]):
+        assert run_cli(*argv, *extra, "--restarts", "2") == 2
+        errors.append(capsys.readouterr().err.strip().splitlines())
+    assert len(errors[0]) == 1 and errors[0] == errors[1]
+    assert errors[0][0].startswith("error: ParameterError")
+
+
 @pytest.mark.parametrize("fault", ["failed", "unconverged"])
 def test_scan_exits_3_on_a_bad_row(monkeypatch, tmp_path, fault):
     classify = families.classify_schmidt_witness
@@ -353,6 +367,39 @@ def test_verify_oracle_suite(tmp_path):
     )
     assert code == 0
     assert read_report(out)["result"]["maxError"] < 1e-4
+
+
+def rerun_from_inputs(inputs):
+    """The verify argv that a report's own ``inputs`` spell out."""
+    argv = ["verify", "--suite", inputs["suite"], "--trials", str(inputs["trials"]),
+            "--seed", str(inputs["seed"])]
+    if "dim" in inputs:
+        return argv + ["--dim", str(inputs["dim"])]
+    dims, config = inputs["dims"], inputs["config"]
+    assert (dims["kA"], dims["kB"], config["seed"]) == (1, 1, inputs["seed"])
+    return argv + ["--dims", f"{dims['dA']}x{dims['dB']}",
+                   "--restarts", str(config["restarts"]), "--tol", repr(config["positivityTol"])]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "identities", "--dim", "2", "--trials", "3", "--seed", "5"],
+        ["--suite", "roundtrip", "--dim", "4", "--trials", "3", "--seed", "5"],
+        ["--suite", "trace", "--dim", "2", "--trials", "3", "--seed", "5"],
+        ["--suite", "lemma5", "--dim", "4", "--trials", "3", "--seed", "5"],
+        ["--suite", "oracle", "--dims", "2x3", "--trials", "1", "--seed", "5",
+         "--restarts", "8", "--tol", "1e-6"],
+    ],
+)
+def test_verify_report_reruns_from_its_own_inputs(tmp_path, argv):
+    # a report names every input its result depends on, defaults included
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli("verify", *argv, "--output", str(first)) == 0
+    inputs = read_report(first)["inputs"]
+    assert run_cli(*rerun_from_inputs(inputs), "--output", str(second)) == 0
+    # the whole report, its result included, byte for byte
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_verify_unknown_suite():

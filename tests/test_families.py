@@ -179,6 +179,20 @@ def test_scan_marks_failed_rows_and_continues():
     assert "ParameterError" in scan.rows[1].error
 
 
+@pytest.mark.parametrize(
+    "d, max_k, message",
+    [
+        (1, None, "local dimension must be >= 2, got 1"),
+        (3, 0, r"max_k must be in \[1, 3\], got 0"),
+        (3, 4, r"max_k must be in \[1, 3\], got 4"),
+    ],
+)
+def test_scan_rejects_a_bad_dimension_or_max_k(d, max_k, message):
+    # either would fail every row alike, so the scan refuses it before the grid
+    with pytest.raises(ParameterError, match=message):
+        threshold_scan([0.05, 0.2], d=d, config=FAST, max_k=max_k)
+
+
 def test_scan_rows_are_ordered_by_parameter():
     scan = threshold_scan([0.2, 0.05], d=3, config=FAST)
     assert [row.a for row in scan.rows] == [0.05, 0.2]

@@ -548,10 +548,15 @@ def test_finer_certificate_validates_traces():
 
 
 def test_identity_pencil_threshold_is_one():
+    # Z = S breaks the precondition on Z (S is negative on class 3), so the
+    # pencil of S over itself is checked on the kernel: every ratio is 1
     s = isotropic(1 / 8)
-    result = lambda_max_subtraction(s, s, 3, CFG)
-    assert abs(result.lambda0 - 1.0) < 1e-9
-    assert abs(result.formula_sup_inv - 1.0) < 1e-9
+    with pytest.raises(PreconditionError, match=r"level 3 minimum of Z is -0\.015873"):
+        lambda_max_subtraction(s, s, 3, CFG)
+    s4 = s.as_tensor()
+    starts = witness._starts(CFG, D33, 2 * 3, 104729)
+    assert np.abs(witness._seesaw(s4, 2, starts, q4=s4)[0] - 1.0).max() < 1e-9
+    assert np.abs(witness._seesaw(-s4, 2, starts, q4=s4)[0] + 1.0).max() < 1e-9
 
 
 def test_subtraction_threshold_for_family_instance():
@@ -569,6 +574,20 @@ def test_subtraction_rejects_directions_negative_on_the_class():
     bad = Operator(D33, -np.eye(9) / 9)
     with pytest.raises(PreconditionError):
         lambda_max_subtraction(s, bad, 3, CFG)
+
+
+@pytest.mark.parametrize(
+    "a, k, message",
+    [
+        # Z = iso(1/4) is a 2-Schmidt witness: negative at level 2, not at 1
+        (0.25, 2, r"level 2 minimum of Z is -0\.0740741: Z must be non-negative on Schmidt rank <= 2"),
+        # Z = iso(1/8) is negative only at full rank: its smallest eigenvalue -1/63
+        (1 / 8, 3, r"level 3 minimum of Z is -0\.015873: Z must be non-negative on Schmidt rank <= 3"),
+    ],
+)
+def test_subtraction_rejects_z_negative_on_class_k(a, k, message):
+    with pytest.raises(PreconditionError, match=message):
+        lambda_max_subtraction(isotropic(1 / 8), isotropic(a), k, CFG)
 
 
 def test_subtraction_refine_at_requested_weight():
@@ -610,11 +629,12 @@ def test_subtraction_rejects_a_direction_without_support():
 
 
 def test_subtraction_validates_k():
-    # 2 <= k <= min(dA, dB); the class check samples states of rank up to k
+    # 2 <= k <= min(dA, dB), checked before the level minima of S and Z
     s, z = isotropic(1 / 8), identity_over_nine()
     with pytest.raises(ParameterError, match="k must be >= 2, got 1"):
         lambda_max_subtraction(s, z, 1, CFG)
-    # once rejected only by the class sampler, as "rank must be in [1, 3], got 4"
+    # _level_minimum reads every level >= min(dA, dB) from the spectrum, so
+    # without this check k = 4 would be refused for S's level-3 minimum
     with pytest.raises(ParameterError, match=r"k must be <= min\(dA, dB\) = 3, got 4"):
         lambda_max_subtraction(s, z, 4, CFG)
 
