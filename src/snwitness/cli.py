@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import json
 import sys
@@ -193,14 +194,21 @@ def _emit(text: str, stream):
 
 def _write(pieces, output: str | None):
     """Write the text ``pieces`` to the file ``output``, or to stdout when it
-    is None.  An output that cannot be opened or written is a CliInputError."""
+    is None, joining consecutive pieces while they fit in one buffer.  An
+    output that cannot be opened or written is a CliInputError."""
     try:
         target = contextlib.nullcontext(sys.stdout)
         if output:
             target = open(output, "w", encoding="utf-8")
         with target as stream:
+            pending = ""
             for piece in pieces:
-                _emit(piece, stream)
+                if pending and len(pending) + len(piece) > io.DEFAULT_BUFFER_SIZE:
+                    _emit(pending, stream)
+                    pending = ""
+                pending += piece
+            if pending:
+                _emit(pending, stream)
             stream.flush()
     except OSError as exc:
         raise CliInputError(f"cannot write {output or '<stdout>'}: {exc}") from exc

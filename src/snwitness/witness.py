@@ -37,7 +37,7 @@ POSITIVE = "PositiveOperator"
 SCHMIDT_WITNESS = "SchmidtWitness"
 
 MAX_ITERS = 500  # see-saw iterations per restart
-CONVERGENCE_TOL = 1e-10  # a restart stops once its value drops by less
+CONVERGENCE_TOL = 1e-10  # a restart stops once its A half-step gains less than this
 ZERO_TOL = 1e-6  # optimality_certificate keeps product states with |value| <= ZERO_TOL
 DETECTION_TOL = 1e-9  # detects: Tr(W rho) < -DETECTION_TOL, rho PSD to within it
 FINER_GRID = 200  # finer_certificate tries eps = i / FINER_GRID, 0 < i < FINER_GRID
@@ -210,8 +210,9 @@ def _seesaw(s4: np.ndarray, k: int, starts, q4=None):
     the pencil <psi|S|psi> / <psi|Q|psi> (Q = I is the plain case), each
     half-step by ``_lowest``; a degenerate start, one whose conditional Q
     has no support, gets the value NaN and is dropped.  A restart leaves
-    the stack once its value drops by less than CONVERGENCE_TOL in an
-    iteration, or after MAX_ITERS iterations.
+    the stack once its A half-step gains less than CONVERGENCE_TOL on the
+    same iteration's B half-step (B is exact for A, and A then within the
+    tolerance of exact for B: a fixed point of both), or after MAX_ITERS.
 
     Returns (values, A, B, converged, history, negative): per-restart final
     values, factors (without ``q4``, A of unit norm and B of unit norm for
@@ -253,7 +254,7 @@ def _seesaw(s4: np.ndarray, k: int, starts, q4=None):
         step = np.full((r, 2), np.nan)
         step[active, 0], step[active, 1] = vals_b, vals_a
         history.append(step)
-        done = ~(values[active] - vals_a >= CONVERGENCE_TOL)
+        done = ~(vals_b - vals_a >= CONVERGENCE_TOL)
         values[active] = vals_a
         converged[active[done]] = True
         active = active[~done]

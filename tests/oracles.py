@@ -133,8 +133,9 @@ def lifted_seesaw_min(s, k, config):
     <a,b|lift(S)|a,b> / <a,b|lift(I)|a,b> over the other, as the generalized
     eigenproblem of the two conditional operators; the denominator is
     <psi|psi> for the lowered state psi, so this is the minimum over unit
-    states of Schmidt rank <= k.  A restart stops once an iteration lowers
-    the value by less than CONVERGENCE_TOL.  Returns (best value,
+    states of Schmidt rank <= k.  A restart stops once its A half-step
+    lowers the value by less than CONVERGENCE_TOL below the same
+    iteration's B half-step, the library's rule.  Returns (best value,
     per-restart values, converged flag of the best).
     """
     identity = Operator(s.dims, np.eye(s.dims.total))
@@ -152,14 +153,13 @@ def lifted_seesaw_min(s, k, config):
 
     values, flags = [], []
     for a in starts_by_restart(config, d.a_dim):
-        prev, converged = np.inf, False
+        converged = False
         for _ in range(MAX_ITERS):
-            _, b = _min_ratio(on_b(w4, a), on_b(n4, a))
+            value_b, b = _min_ratio(on_b(w4, a), on_b(n4, a))
             value, a = _min_ratio(on_a(w4, b), on_a(n4, b))
-            if prev - value < CONVERGENCE_TOL:
+            if value_b - value < CONVERGENCE_TOL:
                 converged = True
                 break
-            prev = value
         values.append(value)
         flags.append(converged)
     best = int(np.argmin(values))
@@ -210,7 +210,6 @@ def _pencil_seesaw(
     for start in starts_by_restart(config, da * k, 104729):
         a = start.reshape(1, da, k)
         value = None
-        prev = None
         for _ in range(MAX_ITERS):
             val_b, b, neg = _pencil_extreme(
                 _conditional(p4, a)[0], _conditional(q4, a)[0], largest
@@ -227,9 +226,8 @@ def _pencil_seesaw(
                 break
             a = a.reshape(1, da, k)
             value = val_a
-            if prev is not None and abs(prev - value) < CONVERGENCE_TOL:
+            if abs(val_b - val_a) < CONVERGENCE_TOL:
                 break
-            prev = value
         if value is None:
             continue
         if best is None or (value > best if largest else value < best):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import io
 import json
 import tracemalloc
 
@@ -560,8 +561,9 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, name, where):
         ["lift", "--input", "{operator}", "--k", "4"],
         ["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--restarts", "4",
          "--format", "csv"],
+        ["classify", "--family", "isotropic", "--a", "0.2", "--restarts", "4"],
     ],
-    ids=["lift-k4", "scan-csv"],
+    ids=["lift-k4", "scan-csv", "classify"],
 )
 def test_emitted_pieces_are_the_written_bytes(tmp_path, monkeypatch, argv):
     """Every byte written passes through ``cli._emit`` as its first argument,
@@ -584,6 +586,34 @@ def test_emitted_pieces_are_the_written_bytes(tmp_path, monkeypatch, argv):
         assert len(pieces) > 144  # a piece per row of the 144 x 144 lifted matrix
     else:
         assert len(pieces) == 1
+
+
+def test_lift_report_is_its_rendered_pieces_in_buffer_sized_writes(tmp_path, monkeypatch):
+    """``cli._write`` joins the rendered pieces while they fit in
+    io.DEFAULT_BUFFER_SIZE; the text is still the pieces in order, as when
+    each piece was written on its own."""
+    operator = write_json(
+        tmp_path / "op.json", operator_to_json(random_hermitian(Dims(3, 3), seed=4))
+    )
+    calls, reports = [], []
+    emit, emit_report = cli._emit, cli._emit_report
+
+    def recording(text, stream):
+        calls.append(text)
+        return emit(text, stream)
+
+    def keeping(report, output):
+        reports.append(report)
+        return emit_report(report, output)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(cli, "_emit_report", keeping)
+    out = tmp_path / "out"
+    assert run_cli("lift", "--input", operator, "--k", "4", "--output", str(out)) == 0
+    (report,) = reports
+    assert out.read_text(encoding="utf-8") == "".join(_render(report)) + "\n"
+    # no two consecutive writes would have fit in one
+    assert all(len(a) + len(b) > io.DEFAULT_BUFFER_SIZE for a, b in zip(calls, calls[1:]))
 
 
 def test_lift_report_memory_does_not_grow_with_its_text(tmp_path):

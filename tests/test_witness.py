@@ -145,6 +145,33 @@ def test_seesaw_monotone_on_lifted_operator():
     assert values[0] >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
 
 
+@pytest.mark.parametrize("d", range(3, 7))
+def test_isotropic_levels_stop_after_one_iteration(d):
+    # any A with B = conj(A) is optimal, so the first iteration's A half-step
+    # gains nothing over its B half-step and every restart stops there
+    s4 = isotropic((1 / d**2 + 1 / (d * (d - 1))) / 2, d=d).as_tensor()
+    for level in range(1, d):
+        starts = starts_by_restart(CFG, d * level)
+        _, _, _, converged, history, _ = witness._seesaw(s4, level, starts)
+        assert len(history) == 1
+        assert converged.all()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 4), (4, 4)])
+def test_seesaw_stops_at_the_first_a_half_step_gaining_under_the_tolerance(shape, k):
+    for t in range(3):
+        s = random_unit_hermitian(Dims(*shape), seed=(69, t))
+        starts = starts_by_restart(CFG, shape[0] * k)
+        _, _, _, converged, history, _ = witness._seesaw(s.as_tensor(), k, starts)
+        assert converged.all()
+        for steps in np.stack(history, axis=1):
+            rows = steps[~np.isnan(steps[:, 0])]
+            gains = rows[:, 0] - rows[:, 1]
+            assert gains[-1] < witness.CONVERGENCE_TOL
+            assert np.all(gains[:-1] >= witness.CONVERGENCE_TOL)
+
+
 @st.composite
 def rank_k_problems(draw):
     d_a = draw(st.sampled_from([2, 3, 4]))
