@@ -107,6 +107,8 @@ class ScanResult:
 def _verdict_label(classification: WitnessClassification) -> str:
     if classification.verdict == POSITIVE:
         return POSITIVE
+    if classification.k is None:  # undetected up to max_k, the last level run
+        return f">{max(classification.per_level_product_min)}-SW"
     return f"{classification.k}-SW"
 
 
@@ -192,10 +194,13 @@ def _boundary_predicate(family, d: int, left: ScanRow, right: ScanRow, config):
     """Predicate that is True on the left verdict's side of the boundary, and
     its values at the two rows.  It is the sign of the governing level's
     minimum: level d (the smallest eigenvalue) next to a positive verdict,
-    else the lower witness order.  The rows hold those minima (level d as
-    ``min_eigenvalue`` when unlisted), so the ends are read, not recomputed."""
+    else the lower witness order; a ">M-SW" row (k None) is of order M + 1 or
+    more, so the other row's order k <= M is the lower.  The rows hold those
+    minima (level d as ``min_eigenvalue`` when unlisted), so the ends are
+    read, not recomputed."""
     tol = config.positivity_tol
-    level = d if POSITIVE in (left.verdict, right.verdict) else min(left.k, right.k)
+    orders = [row.k for row in (left, right) if row.k is not None]
+    level = d if POSITIVE in (left.verdict, right.verdict) else min(orders)
 
     def predicate(a: float) -> bool:
         return _level_minimum(family(a), level, config)[0] >= -tol

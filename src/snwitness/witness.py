@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ MAX_ITERS = 500  # see-saw iterations per restart
 CONVERGENCE_TOL = 1e-10  # a restart stops once its A half-step gains less than this
 ZERO_TOL = 1e-6  # optimality_certificate keeps product states with |value| <= ZERO_TOL
 DETECTION_TOL = 1e-9  # detects: Tr(W rho) < -DETECTION_TOL, rho PSD to within it
-FINER_GRID = 200  # finer_certificate tries eps = i / FINER_GRID, 0 < i < FINER_GRID
 FINER_TOL = 1e-9  # finer_certificate accepts Z whose smallest eigenvalue is >= -FINER_TOL
 
 
@@ -74,9 +74,24 @@ class OptimizerConfig:
         }
 
 
+class SeesawRun(NamedTuple):
+    """One ``_seesaw`` run.  Per restart: final ``values``, factors ``a`` and
+    ``b`` (without ``q4``, A B^T is a unit state: A of unit norm, B too for
+    k = 1, else with orthonormal columns), ``converged`` flags, and whether S
+    was ``negative`` on the kernel of a conditional Q.  Per iteration, a
+    ``history`` row: (R, 2) half-step values, NaN for stopped restarts."""
+
+    values: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    converged: np.ndarray
+    history: list
+    negative: np.ndarray
+
+
 @dataclass(frozen=True)
 class ProductMinResult:
-    """Best product-state minimum found by the see-saw, with its minimizers.
+    """Best product-state minimum found by the see-saw ``run``, with its minimizers.
 
     For k > 1 the factors are not both unit vectors (see
     ``min_product_expectation``); ``lowered()`` is the unit minimizer.
@@ -87,6 +102,7 @@ class ProductMinResult:
     arg_b: PureState
     converged: bool
     trace: tuple[float, ...]
+    run: SeesawRun = field(repr=False, compare=False)
 
     def lowered(self) -> PureState:
         """The minimizer with its ancillas contracted: sum_s A[:,s] (x) B[:,s]."""
@@ -118,7 +134,9 @@ class WitnessClassification:
     of <psi|S|psi> over unit states of Schmidt rank <= l, so the levels are
     non-increasing in l: below min(dA, dB) it is the rank-l see-saw minimum,
     and level min(dA, dB) holds ``min_eigenvalue``, since every state has
-    Schmidt rank at most min(dA, dB).
+    Schmidt rank at most min(dA, dB).  A witness that no level up to a
+    ``max_k`` below min(dA, dB) detects has ``k`` None: its order exceeds
+    ``max_k``, which is all the ladder shows.
     """
 
     verdict: str
@@ -149,23 +167,23 @@ class FinerCertificate:
     evidence: tuple[tuple[float, float], ...] = field(repr=False, default=())
 
 
-@functools.lru_cache(maxsize=8)  # an operator shape needs at most three salts
-def _draws(seed: int, restarts: int, length: int, salt: tuple) -> np.ndarray:
+@functools.lru_cache(maxsize=8)  # one key per seed, restart count and length
+def _draws(seed: int, restarts: int, length: int) -> np.ndarray:
     """Read-only (restarts, length): row r holds the first ``length`` normals
-    of ``default_rng((seed, *salt, r))``, kept for the process's next calls."""
-    rngs = (np.random.default_rng((seed, *salt, r)) for r in range(restarts))
+    of ``default_rng((seed, r))``, kept for the process's next calls."""
+    rngs = (np.random.default_rng((seed, r)) for r in range(restarts))
     raw = np.array([rng.normal(size=length) for rng in rngs])
     raw.flags.writeable = False
     return raw
 
 
-def _starts(config: OptimizerConfig, dims: Dims, n: int, *salt) -> np.ndarray:
+def _starts(config: OptimizerConfig, dims: Dims, n: int) -> np.ndarray:
     """One seeded random unit start per restart: n normals of its stream as real
     parts, the next n as imaginary parts.  Draws are sequential, so every n
     shares one stream, drawn to the longest start an operator of ``dims`` needs
     (rank min(dA, dB) without ancillas; with them only k = 1 runs)."""
     rank = min(dims.a_dim, dims.b_dim) if dims.unextended else 1
-    raw = _draws(config.seed, config.restarts, 2 * dims.a_dim * rank, salt)
+    raw = _draws(config.seed, config.restarts, 2 * dims.a_dim * rank)
     vecs = raw[:, :n] + 1j * raw[:, n : 2 * n]
     return vecs / np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
 
@@ -195,7 +213,7 @@ def _lowest(p: np.ndarray, q: np.ndarray):
     return values, vectors[:, :, 0], negative
 
 
-def _seesaw(s4: np.ndarray, k: int, starts, q4=None):
+def _seesaw(s4: np.ndarray, k: int, starts, q4=None) -> SeesawRun:
     """Rank-k see-saw on the (dA, dB, dA, dB) tensor of S, all restarts at once.
 
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
@@ -213,13 +231,6 @@ def _seesaw(s4: np.ndarray, k: int, starts, q4=None):
     the stack once its A half-step gains less than CONVERGENCE_TOL on the
     same iteration's B half-step (B is exact for A, and A then within the
     tolerance of exact for B: a fixed point of both), or after MAX_ITERS.
-
-    Returns (values, A, B, converged, history, negative): per-restart final
-    values, factors (without ``q4``, A of unit norm and B of unit norm for
-    k = 1 or with orthonormal columns for k > 1, so A B^T is a unit state)
-    and flags; per iteration an (R, 2) array of the two half-step values
-    (NaN for restarts that had already stopped); and per restart whether S
-    was found negative on the kernel of a conditional Q.
     """
 
     def solve(t4, u4, f):
@@ -260,7 +271,7 @@ def _seesaw(s4: np.ndarray, k: int, starts, q4=None):
         active = active[~done]
         if not active.size:
             break
-    return values, a, b, converged, history, negative
+    return SeesawRun(values, a, b, converged, history, negative)
 
 
 def min_product_expectation(
@@ -286,14 +297,15 @@ def min_product_expectation(
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     dims = w.dims.with_ancillas(k) if k > 1 else w.dims
     starts = _starts(config, w.dims, dims.a_dim)
-    values, a, b, converged, *_ = _seesaw(w.as_tensor(), k, starts)
-    best = int(np.argmin(values))
+    run = _seesaw(w.as_tensor(), k, starts)
+    best = int(np.argmin(run.values))
     return ProductMinResult(
-        value=float(values[best]),
-        arg_a=PureState(dims.a_factor(), a[best].ravel()),
-        arg_b=PureState(dims.b_factor(), b[best].ravel()),
-        converged=bool(converged[best]),
-        trace=tuple(float(v) for v in values),
+        value=float(run.values[best]),
+        arg_a=PureState(dims.a_factor(), run.a[best].ravel()),
+        arg_b=PureState(dims.b_factor(), run.b[best].ravel()),
+        converged=bool(run.converged[best]),
+        trace=tuple(float(v) for v in run.values),
+        run=run,
     )
 
 
@@ -365,10 +377,9 @@ def classify_schmidt_witness(
             return WitnessClassification(
                 SCHMIDT_WITNESS, level, min_eig, per_level, detected, converged
             )
-    # negative eigenvalue exists but no level up to max_k < min(dA, dB) detects it
-    return WitnessClassification(
-        SCHMIDT_WITNESS, max_k + 1, min_eig, per_level, None, converged
-    )
+    # negative eigenvalue exists but no level up to max_k < min(dA, dB) detects
+    # it: the order is only known to exceed max_k
+    return WitnessClassification(SCHMIDT_WITNESS, None, min_eig, per_level, None, converged)
 
 
 def detects(w: Operator, rho: Operator) -> bool:
@@ -395,9 +406,13 @@ def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
     """Search for (eps, Z PSD) with W2 = (1-eps) W1 + eps Z.
 
     Success certifies that W1 is finer than W2 (relative to positivity on
-    all states).  The returned eps maximizes the smallest eigenvalue of the
-    candidate Z over the grid eps = i / FINER_GRID; on failure that same
-    pair is the refutation evidence.
+    all states).  The candidate is Z = W1 + t D with t = 1/eps >= 1 and
+    D = W2 - W1; its smallest eigenvalue f(t) is concave, with supergradient
+    <v|D|v> at the eigenvector v.  So t doubles from 1 until that slope is no
+    longer positive (or 1/t vanishes next to 1 in floats), and the bracket
+    is bisected on its sign down to adjacent floats.  The returned eps is
+    the evaluated point of largest f, the maximum up to rounding; on failure
+    that pair is the refutation, and ``evidence`` lists every (eps, f).
     """
     if w1.dims != w2.dims:
         raise DimensionError(f"dims mismatch: {w1.dims} vs {w2.dims}")
@@ -407,19 +422,24 @@ def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
             raise ParameterError(f"{name} must be trace-normalized, got trace {tr}")
     if float(np.abs(w1.matrix - w2.matrix).max()) < 1e-12:
         return FinerCertificate(True, 0.0, 0.0, None)
-    evidence = []
-    best = None
-    for i in range(1, FINER_GRID):
-        eps = i / FINER_GRID
-        candidate = (w2.matrix - (1 - eps) * w1.matrix) / eps
-        min_eig = float(np.linalg.eigvalsh(candidate)[0])
-        evidence.append((eps, min_eig))
-        if best is None or min_eig > best[1]:
-            best = (eps, min_eig, candidate)
-    eps, min_eig, candidate = best
+    diff = w2.matrix - w1.matrix
+    points = []  # (t, f(t))
+
+    def slope(t: float) -> float:
+        vals, vecs = np.linalg.eigh(w1.matrix + t * diff)
+        points.append((t, float(vals[0])))
+        return float(np.vdot(vecs[:, 0], diff @ vecs[:, 0]).real)
+
+    lo = hi = 1.0
+    while slope(hi) > 0 and hi * np.finfo(float).eps < 1:
+        lo, hi = hi, 2 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    t, min_eig = max(points, key=lambda point: point[1])
     found = min_eig >= -FINER_TOL
-    z = Operator(w1.dims, candidate) if found else None
-    return FinerCertificate(found, eps, min_eig, z, tuple(evidence))
+    z = Operator(w1.dims, w1.matrix + t * diff) if found else None
+    evidence = tuple((1 / t, f) for t, f in points)
+    return FinerCertificate(found, 1 / t, min_eig, z, evidence)
 
 
 def lambda_max_subtraction(
@@ -436,8 +456,8 @@ def lambda_max_subtraction(
     <psi|Z|psi> / <psi|S|psi>, the latter as the smallest ratio of -Z over
     S.  Both run on the one batched see-saw kernel ``_seesaw`` as a pencil,
     all restarts at once; degenerate starts (no support of the denominator
-    form) are dropped.  If the numerator form is negative on the
-    denominator's kernel the threshold is reported as 0.  S must be a
+    form) are dropped.  Either formulation reports 0 where its numerator
+    form is negative on the denominator's kernel.  S must be a
     k-Schmidt witness, non-negative on Schmidt rank <= k-1, and Z must be
     non-negative on Schmidt class k: both minima are computed first by
     ``_level_minimum`` (level k = min(dA, dB) is Z's smallest eigenvalue),
@@ -462,19 +482,22 @@ def lambda_max_subtraction(
             )
 
     s4, z4 = s.as_tensor(), z.as_tensor()
-    starts = _starts(config, s.dims, s.dims.dA * (k - 1), 104729)
-    run = (k - 1, starts)
-    ratios, *_, negative = _seesaw(s4, *run, q4=z4)
-    min_ratio = float(np.nanmin(ratios, initial=np.inf))
-    if negative.any():
+    starts = _starts(config, s.dims, s.dims.dA * (k - 1))
+    ratios = _seesaw(s4, k - 1, starts, q4=z4)
+    min_ratio = float(np.nanmin(ratios.values, initial=np.inf))
+    if ratios.negative.any():
         lambda0 = 0.0
     elif min_ratio == np.inf:
         raise PreconditionError("every sampled direction was degenerate")
     else:
         lambda0 = max(min_ratio, 0.0)
 
-    sup_ratio = -float(np.nanmin(_seesaw(-z4, *run, q4=s4)[0], initial=np.inf))
-    formula_sup_inv = 1.0 / sup_ratio if sup_ratio > 0.0 else np.inf
+    inverse = _seesaw(-z4, k - 1, starts, q4=s4)
+    sup_ratio = -float(np.nanmin(inverse.values, initial=np.inf))
+    if inverse.negative.any():  # Z > 0 where S vanishes: the sup is infinite
+        formula_sup_inv = 0.0
+    else:
+        formula_sup_inv = 1.0 / sup_ratio if sup_ratio > 0.0 else np.inf
 
     refined = refine_by_subtraction(s, z, lambda0) if lambda0 < 1.0 else None
     return SubtractionResult(lambda0, formula_sup_inv, refined)
@@ -485,21 +508,20 @@ def optimality_certificate(
 ) -> tuple[int, bool]:
     """Dimension of the span of near-zero product states and an optimality flag.
 
-    Runs independent single-restart product minimizations, keeps the product
-    states whose expectation is within ZERO_TOL of zero, and reports the
-    dimension of their linear span.  A True flag (span equals the full space
+    Reads the product minimization that the witness check ran, keeps the
+    restarts' product states whose expectation is within ZERO_TOL of zero,
+    and reports the dimension of their linear span.  A True flag (span equals the full space
     dimension) certifies that no strictly finer witness exists; a False flag
     is inconclusive.
     """
     check = is_entanglement_witness(w, config)
     if not check.is_witness:
         raise PreconditionError("operator is not an entanglement witness")
-    d = w.dims
-    values, a, b, *_ = _seesaw(w.as_tensor(), 1, _starts(config, d, d.a_dim, 7919))
-    near_zero = np.abs(values) <= ZERO_TOL
+    run = check.product_min.run
+    near_zero = np.abs(run.values) <= ZERO_TOL
     if not near_zero.any():
         return 0, False
-    zeros = np.einsum("ri,rj->rij", a[near_zero, :, 0], b[near_zero, :, 0])
-    singular = np.linalg.svd(zeros.reshape(-1, d.total), compute_uv=False)
+    zeros = np.einsum("ri,rj->rij", run.a[near_zero, :, 0], run.b[near_zero, :, 0])
+    singular = np.linalg.svd(zeros.reshape(-1, w.dims.total), compute_uv=False)
     span_dim = int(np.sum(singular > singular[0] * 1e-8))
-    return span_dim, span_dim == d.total
+    return span_dim, span_dim == w.dims.total

@@ -33,13 +33,13 @@ from snwitness.hilbert import DEFAULT_RANK_TOL, _conditional
 from snwitness.witness import CONVERGENCE_TOL, MAX_ITERS
 
 
-def starts_by_restart(config, n, *salt):
+def starts_by_restart(config, n):
     """One unit start vector of length n per restart, each from its own
-    generator ``default_rng((config.seed, *salt, r))``: n normals as real
-    parts, then n as imaginary parts."""
+    generator ``default_rng((config.seed, r))``: n normals as real parts,
+    then n as imaginary parts."""
     starts = []
     for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, *salt, r))
+        rng = np.random.default_rng((config.seed, r))
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
         starts.append(vec / np.linalg.norm(vec))
     return np.array(starts)
@@ -207,7 +207,7 @@ def _pencil_seesaw(
     p_swap, q_swap = p4.transpose(1, 0, 3, 2), q4.transpose(1, 0, 3, 2)
     best = None
     kernel_flag = False
-    for start in starts_by_restart(config, da * k, 104729):
+    for start in starts_by_restart(config, da * k):
         a = start.reshape(1, da, k)
         value = None
         for _ in range(MAX_ITERS):

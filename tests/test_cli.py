@@ -259,6 +259,33 @@ def test_scan_bad_dimension_or_max_k_exits_2_like_classify(capsys, extra):
     assert errors[0][0].startswith("error: ParameterError")
 
 
+def test_scan_below_the_order_labels_a_bound(tmp_path):
+    # a = 1/8 at d = 3 is 3-SW: non-negative at levels 1 and 2, so a ladder
+    # stopped at level 1 shows only that the order exceeds 1
+    out = tmp_path / "scan.csv"
+    code = run_cli("scan", "--a-from", "0.125", "--a-to", "0.125", "--steps", "1", "--dim", "3",
+                   "--max-k", "1", "--restarts", "8", "--format", "csv", "--output", str(out))
+    assert code == 0
+    (line,) = out.read_text().splitlines()[1:]
+    a, verdict, k, _, prodmin_l1, prodmin_l2 = line.split(",")[:6]
+    assert (a, verdict, k) == ("0.125", ">1-SW", "")
+    assert float(prodmin_l1) > 0 and float(prodmin_l2) > 0
+
+
+def test_scan_bisects_between_a_bound_and_an_order(tmp_path):
+    # >1-SW | 1-SW is governed by level 1, which crosses -tol just above a = 1/3
+    out = tmp_path / "scan.json"
+    code = run_cli("scan", "--a-from", "0.125", "--a-to", "0.4", "--steps", "2", "--dim", "3",
+                   "--max-k", "1", "--restarts", "8", "--bisect", "--bisect-tol", "0.001",
+                   "--output", str(out))
+    assert code == 0
+    result = read_report(out)["result"]
+    assert [(row["verdict"], row["k"]) for row in result["rows"]] == [(">1-SW", None), ("1-SW", 1)]
+    (boundary,) = result["boundaries"]
+    assert (boundary["leftVerdict"], boundary["rightVerdict"]) == (">1-SW", "1-SW")
+    assert abs(boundary["aStar"] - 1 / 3) <= boundary["width"] / 2
+
+
 @pytest.mark.parametrize("fault", ["failed", "unconverged"])
 def test_scan_exits_3_on_a_bad_row(monkeypatch, tmp_path, fault):
     classify = families.classify_schmidt_witness

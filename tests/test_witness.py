@@ -411,9 +411,9 @@ def test_the_kernel_never_runs_at_the_full_rank_level(monkeypatch):
 def test_classify_respects_max_k():
     with pytest.raises(ParameterError):
         classify_schmidt_witness(isotropic(0.2), max_k=4, config=CFG)
-    # a 3-SW scanned only to level 2 is reported beyond the scanned range
+    # a 3-SW scanned only to level 2 is a witness of unknown order above 2
     cls = classify_schmidt_witness(isotropic(1 / 8), max_k=2, config=CFG)
-    assert cls.k == 3
+    assert cls.k is None
     assert cls.detected_state is None
 
 
@@ -542,6 +542,45 @@ def test_finer_certificate_refuted_in_reverse():
     assert all(me < -1e-6 for _, me in cert.evidence)
 
 
+@pytest.mark.parametrize("eps0", [0.1234, 0.0037])
+def test_finer_certificate_finds_a_narrow_window(eps0):
+    # Z = |00><00| is rank one, so eps0 is the only eps whose candidate is
+    # PSD: a kink of f(t) = lambda_min(W1 + t (W2 - W1)) at t = 1 / eps0
+    w1 = isotropic(0.2)
+    corner = np.zeros((9, 9))
+    corner[0, 0] = 1.0
+    w2 = Operator(D33, (1 - eps0) * w1.matrix + eps0 * corner)
+    cert = finer_certificate(w1, w2)
+    assert cert.found
+    assert abs(cert.epsilon - eps0) < 1e-9
+    assert np.abs(cert.z.matrix - corner).max() < 1e-9
+
+
+def test_finer_certificate_decomposes_a_rank_eight_mixture():
+    # eps0 = 0.0037 with a random rank-8 Z: PSD candidates exist near eps0,
+    # between the points of a grid with step 1/200
+    w1 = isotropic(0.2)
+    rng = np.random.default_rng(1)
+    g = rng.normal(size=(9, 8)) + 1j * rng.normal(size=(9, 8))
+    z = g @ g.conj().T
+    w2 = Operator(D33, (1 - 0.0037) * w1.matrix + 0.0037 * z / np.trace(z).real)
+    cert = finer_certificate(w1, w2)
+    assert cert.found and cert.min_eigenvalue > 0
+    assert abs(np.linalg.eigvalsh(cert.z.matrix)[0] - cert.min_eigenvalue) < 1e-12
+    rebuilt = (1 - cert.epsilon) * w1.matrix + cert.epsilon * cert.z.matrix
+    assert np.abs(rebuilt - w2.matrix).max() < 1e-12
+
+
+def test_finer_certificate_stops_where_eps_vanishes_next_to_one():
+    # W2 - W1 = 1e-9 I is PSD (traces agree within the 1e-8 check), so the
+    # slope never turns negative: t doubles only until 1/t is below float
+    # resolution next to 1
+    w1 = isotropic(0.2)
+    cert = finer_certificate(w1, Operator(D33, w1.matrix + 1e-9 * np.eye(9)))
+    assert cert.found
+    assert cert.epsilon == np.finfo(float).eps
+
+
 def test_finer_witness_orders_expectations_on_detected_states():
     w1, w2 = isotropic(1 / 3), isotropic(1 / 5)
     for rho in states_detected_by(w2, 30, seed=67):
@@ -581,7 +620,7 @@ def test_identity_pencil_threshold_is_one():
     with pytest.raises(PreconditionError, match=r"level 3 minimum of Z is -0\.015873"):
         lambda_max_subtraction(s, s, 3, CFG)
     s4 = s.as_tensor()
-    starts = witness._starts(CFG, D33, 2 * 3, 104729)
+    starts = witness._starts(CFG, D33, 2 * 3)
     assert np.abs(witness._seesaw(s4, 2, starts, q4=s4)[0] - 1.0).max() < 1e-9
     assert np.abs(witness._seesaw(-s4, 2, starts, q4=s4)[0] + 1.0).max() < 1e-9
 
@@ -594,6 +633,25 @@ def test_subtraction_threshold_for_family_instance():
     assert abs(result.lambda0 - result.formula_sup_inv) < 1e-4
     assert result.refined is not None
     assert abs(result.refined.trace() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # S = iso(1/3) vanishes on products, where Z = I/9 or a PSD Z is positive
+        lambda: (isotropic(1 / 3), identity_over_nine()),
+        lambda: (isotropic(1 / 3), random_psd(D33, 75)),
+        # iso(1/4) at d = 4 vanishes on products as well
+        lambda: (isotropic(0.25, d=4), Operator(Dims(4, 4), np.eye(16) / 16)),
+    ],
+    ids=["iso3-identity", "iso3-psd", "iso4-identity"],
+)
+def test_both_formulations_are_zero_where_s_vanishes_and_z_does_not(pair):
+    # sup Z/S is infinite there, so its inverse is 0 like lambda0
+    s, z = pair()
+    for seed in range(4):
+        result = lambda_max_subtraction(s, z, 2, OptimizerConfig(seed=seed, restarts=24))
+        assert (result.lambda0, result.formula_sup_inv) == (0.0, 0.0), seed
 
 
 def test_subtraction_rejects_directions_negative_on_the_class():
@@ -696,7 +754,7 @@ def test_pencil_kernel_matches_the_per_restart_reference(name):
     s, z, k = PENCILS[name]()
     config = OptimizerConfig(seed=8, restarts=32)
     s4, z4 = s.as_tensor(), z.as_tensor()
-    starts = witness._starts(config, s.dims, s.dims.dA * (k - 1), 104729)
+    starts = witness._starts(config, s.dims, s.dims.dA * (k - 1))
     run = (k - 1, starts)
     ratios, *_, negative = witness._seesaw(s4, *run, q4=z4)
     best, flag = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
@@ -724,7 +782,6 @@ def test_identity_pencil_is_the_plain_kernel(dims, k):
 # start vectors
 
 START_DIMS = {"2x3": Dims(2, 3), "3x3": D33, "4x4": Dims(4, 4), "3x3-k3": D33.with_ancillas(3)}
-START_SALTS = [(), (104729,), (7919,)]
 START_RESTARTS = [1, 5, 16, 64]
 
 
@@ -738,24 +795,23 @@ def test_starts_are_the_per_restart_draws_at_every_length(name):
     # restart r of the reference has its own generator, so the reference for
     # fewer restarts is a prefix of the one for 16; 64 is swept below
     dims = START_DIMS[name]
-    for salt in START_SALTS:
-        for n in range(1, longest_start(dims) + 1):
-            reference = starts_by_restart(OptimizerConfig(seed=300, restarts=16), n, *salt)
-            for restarts in START_RESTARTS[:3]:
-                config = OptimizerConfig(seed=300, restarts=restarts)
-                got = witness._starts(config, dims, n, *salt)
-                assert got.tobytes() == reference[:restarts].tobytes(), (salt, n, restarts)
+    for n in range(1, longest_start(dims) + 1):
+        reference = starts_by_restart(OptimizerConfig(seed=300, restarts=16), n)
+        for restarts in START_RESTARTS[:3]:
+            config = OptimizerConfig(seed=300, restarts=restarts)
+            got = witness._starts(config, dims, n)
+            assert got.tobytes() == reference[:restarts].tobytes(), (n, restarts)
 
 
 def test_starts_are_the_per_restart_draws_at_every_seed():
-    # seeds 0..300, each with the next (dims, salt, restarts) and its own length
-    combos = list(itertools.product(START_DIMS.values(), START_SALTS, START_RESTARTS))
+    # seeds 0..300, each with the next (dims, restarts) and its own length
+    combos = list(itertools.product(START_DIMS.values(), START_RESTARTS))
     for seed in range(301):
-        dims, salt, restarts = combos[seed % len(combos)]
+        dims, restarts = combos[seed % len(combos)]
         n = 1 + seed % longest_start(dims)
         config = OptimizerConfig(seed=seed, restarts=restarts)
-        got = witness._starts(config, dims, n, *salt)
-        assert got.tobytes() == starts_by_restart(config, n, *salt).tobytes(), (seed, n)
+        got = witness._starts(config, dims, n)
+        assert got.tobytes() == starts_by_restart(config, n).tobytes(), (seed, n)
 
 
 def test_start_draws_are_cached_read_only_and_the_seesaw_leaves_them():
@@ -763,7 +819,7 @@ def test_start_draws_are_cached_read_only_and_the_seesaw_leaves_them():
     config = OptimizerConfig(seed=5, restarts=8)
     witness._draws.cache_clear()
     starts = witness._starts(config, s.dims, 6)
-    raw = witness._draws(5, 8, 18, ())
+    raw = witness._draws(5, 8, 18)
     assert witness._draws.cache_info().hits == 1 and not raw.flags.writeable
     with pytest.raises(ValueError):
         raw[0, 0] = 0.0
@@ -781,7 +837,7 @@ def test_start_draws_for_a_lifted_operator_are_one_column_long():
     assert lifted.dims.a_dim == 9
     witness._draws.cache_clear()
     min_product_expectation(lifted, OptimizerConfig(seed=5, restarts=4))
-    witness._draws(5, 4, 18, ())
+    witness._draws(5, 4, 18)
     assert witness._draws.cache_info()[:2] == (1, 1)  # (hits, misses): one key
 
 
@@ -804,6 +860,33 @@ def test_boundary_family_member_is_optimal():
     span_dim, optimal = optimality_certificate(isotropic(1 / 3), CFG)
     assert span_dim == 9
     assert optimal
+
+
+def test_optimality_certificate_reuses_the_witness_check_run(monkeypatch):
+    runs = []
+    kernel = witness._seesaw
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "_seesaw", counting)
+    assert optimality_certificate(bell_witness(), CFG) == (4, True)
+    assert runs == [1]
+
+
+@pytest.mark.parametrize("dims, k", [((3, 3), 1), ((3, 4), 2), ((4, 4), 3)])
+def test_product_min_is_the_best_row_of_its_kernel_run(dims, k):
+    s = random_unit_hermitian(Dims(*dims), seed=(74, k))
+    result = min_product_expectation(s, CFG, k=k)
+    run = witness._seesaw(s.as_tensor(), k, witness._starts(CFG, s.dims, dims[0] * k))
+    best = int(np.argmin(run.values))
+    assert result.value == run.values[best]
+    assert result.arg_a.amplitudes.tobytes() == run.a[best].ravel().tobytes()
+    assert result.arg_b.amplitudes.tobytes() == run.b[best].ravel().tobytes()
+    assert result.converged == run.converged[best]
+    assert result.run.values.tobytes() == run.values.tobytes()
+    assert "run" not in repr(result)
 
 
 def test_interior_family_member_is_inconclusive():
