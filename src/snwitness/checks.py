@@ -143,7 +143,8 @@ def suite_roundtrip(trials: int, seed: int, d: int) -> dict:
     dims = Dims(d, d)
     errors = np.empty(trials)
     for k, ts in _blocks(trials):
-        psi = _random_pure_states(dims, [1 + t % k for t in ts], [(seed, 3, t) for t in ts])
+        ranks = [1 + t % min(k, d) for t in ts]
+        psi = _random_pure_states(dims, ranks, [(seed, 3, t) for t in ts])
         back = _lower_states(dims.with_ancillas(k), _lift_states(dims, psi, k)[0])
         errors[ts] = np.linalg.norm(back - psi, axis=1)
     return _suite_report("roundtrip", errors, tolerance=1e-10)

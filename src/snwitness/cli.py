@@ -21,14 +21,8 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, suite_oracle
 from .embedding import lift_operator, lift_state, lower_operator, lower_state
-from .errors import SnWitnessError
-from .families import (
-    SCAN_LEVELS,
-    IsotropicWitnessSpec,
-    ScanResult,
-    make_isotropic_witness,
-    threshold_scan,
-)
+from .errors import DimensionError, SnWitnessError
+from .families import SCAN_LEVELS, ScanResult, make_isotropic_witness, threshold_scan
 from .hilbert import Dims, Operator, PureState
 from .witness import (
     OptimizerConfig,
@@ -71,10 +65,8 @@ def dims_from_json(data) -> Dims:
     if not isinstance(data, dict):
         raise CliInputError("dims: expected an object")
     try:
-        return Dims(
-            int(data["dA"]), int(data["dB"]), int(data.get("kA", 1)), int(data.get("kB", 1))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return Dims(data["dA"], data["dB"], data.get("kA", 1), data.get("kB", 1))
+    except (KeyError, DimensionError) as exc:
         raise CliInputError(f"dims: {exc}") from exc
 
 
@@ -299,8 +291,8 @@ def _load_operator_arg(args) -> tuple[Operator, dict]:
         raise CliInputError(f"unknown family {args.family!r}")
     if args.a is None:
         raise CliInputError("--a is required with --family isotropic")
-    spec = IsotropicWitnessSpec(args.a, args.dim)
-    return make_isotropic_witness(spec), {"family": "isotropic", "a": args.a, "dim": args.dim}
+    source = {"family": "isotropic", "a": args.a, "dim": args.dim}
+    return make_isotropic_witness(args.a, args.dim), source
 
 
 def cmd_classify(args) -> int:

@@ -18,26 +18,13 @@ from .witness import (
 )
 
 
-@dataclass(frozen=True)
-class IsotropicWitnessSpec:
-    """Parameters of the one-parameter isotropic witness family."""
-
-    a: float
-    d: int = 3
-
-    def __post_init__(self):
-        if not 0 <= self.a < 1:
-            raise ParameterError(f"parameter a must lie in [0, 1), got {self.a}")
-        if self.d < 2:
-            raise ParameterError(f"local dimension must be >= 2, got {self.d}")
-
-
-def make_isotropic_witness(spec: IsotropicWitnessSpec) -> Operator:
+def make_isotropic_witness(a: float, d: int) -> Operator:
     """Trace-one family (1/(1-a)) (id/d^2 - a P) with P the maximally
     entangled projector; positive for small a, a witness beyond."""
-    d = spec.d
+    if not 0 <= a < 1:
+        raise ParameterError(f"parameter a must lie in [0, 1), got {a}")
     phi = maximally_entangled_state(d).amplitudes
-    matrix = (np.eye(d * d) / d**2 - spec.a * np.outer(phi, phi.conj())) / (1 - spec.a)
+    matrix = (np.eye(d * d) / d**2 - a * np.outer(phi, phi.conj())) / (1 - a)
     return Operator(Dims(d, d), matrix)
 
 
@@ -127,9 +114,9 @@ def threshold_scan(
     it is converged only if the classification and every such fill-in are.
     With ``bisect`` set, every verdict change between adjacent rows is
     located to within ``bisect_tol`` by bisecting the sign of the level
-    minimum that governs that boundary (see ``_boundary_predicate``).  A
-    row whose classification fails with a package or linear-algebra error
-    is marked and the scan continues; pairs next to it are not bisected.
+    minimum that governs that boundary (see ``_boundary``).  A row whose
+    classification fails with a package or linear-algebra error is marked
+    and the scan continues; pairs next to it are not bisected.
     """
     if d < 2:
         raise ParameterError(f"local dimension must be >= 2, got {d}")
@@ -138,13 +125,10 @@ def threshold_scan(
     if not bisect_tol > 0:
         raise ParameterError(f"bisect_tol must be > 0, got {bisect_tol}")
 
-    def family(a: float) -> Operator:
-        return make_isotropic_witness(IsotropicWitnessSpec(a, d))
-
     rows = []
     for a in sorted(float(x) for x in a_values):
         try:
-            s = family(a)
+            s = make_isotropic_witness(a, d)
             cls = classify_schmidt_witness(s, max_k, config)
             product_min = dict(cls.per_level_product_min)
             converged = cls.converged
@@ -182,46 +166,27 @@ def threshold_scan(
         for left, right in zip(rows, rows[1:]):
             if left.error or right.error or left.verdict == right.verdict:
                 continue
-            predicate, ends = _boundary_predicate(family, d, left, right, config)
-            a_star, width = _bisect_predicate(predicate, left.a, right.a, bisect_tol, ends)
-            boundaries.append(
-                Boundary(left.verdict, right.verdict, left.a, right.a, a_star, width)
-            )
+            boundaries.append(_boundary(d, left, right, config, bisect_tol))
     return ScanResult(tuple(rows), tuple(boundaries))
 
 
-def _boundary_predicate(family, d: int, left: ScanRow, right: ScanRow, config):
-    """Predicate that is True on the left verdict's side of the boundary, and
-    its values at the two rows.  It is the sign of the governing level's
-    minimum: level d (the smallest eigenvalue) next to a positive verdict,
-    else the lower witness order; a ">M-SW" row (k None) is of order M + 1 or
-    more, so the other row's order k <= M is the lower.  The rows hold those
-    minima (level d as ``min_eigenvalue`` when unlisted), so the ends are
-    read, not recomputed."""
+def _boundary(d: int, left: ScanRow, right: ScanRow, config, bisect_tol: float) -> Boundary:
+    """Bisect the verdict change between two adjacent rows on the sign of the
+    governing level's minimum: level d (the smallest eigenvalue) next to a
+    positive verdict, else the lower witness order; a ">M-SW" row (k None)
+    is of order M + 1 or more, so the other row's order k <= M is the lower.
+    The rows hold those minima (level d as ``min_eigenvalue`` when unlisted),
+    so the end verdicts are read, not recomputed.  Halving stops once the
+    bracket is at most 2 * bisect_tol wide or its ends are adjacent floats;
+    unless the level is non-negative at the left row and negative at the
+    right, the whole bracket is returned."""
     tol = config.positivity_tol
     orders = [row.k for row in (left, right) if row.k is not None]
     level = d if POSITIVE in (left.verdict, right.verdict) else min(orders)
-
-    def predicate(a: float) -> bool:
-        return _level_minimum(family(a), level, config)[0] >= -tol
-
-    ends = tuple(row.product_min.get(level, row.min_eigenvalue) >= -tol for row in (left, right))
-    return predicate, ends
-
-
-MAX_HALVINGS = 200  # bounds the loop once the bracket stops shrinking in floats
-
-
-def _bisect_predicate(predicate, lo: float, hi: float, tol: float, ends):
-    """Bisect a boolean predicate whose values at lo and hi are ``ends``."""
-    if ends != (True, False):
-        return 0.5 * (lo + hi), hi - lo  # no clean sign change on the bracket
-    for _ in range(MAX_HALVINGS):
-        if hi - lo <= 2 * tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), hi - lo
+    ends = [row.product_min.get(level, row.min_eigenvalue) >= -tol for row in (left, right)]
+    lo, hi = left.a, right.a
+    if ends == [True, False]:
+        while hi - lo > 2 * bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            inside = _level_minimum(make_isotropic_witness(mid, d), level, config)[0] >= -tol
+            lo, hi = (mid, hi) if inside else (lo, mid)
+    return Boundary(left.verdict, right.verdict, left.a, right.a, 0.5 * (lo + hi), hi - lo)

@@ -280,7 +280,7 @@ def roundtrip_by_trial(trials, seed, d):
     errors = []
     for t in range(trials):
         k = 2 + t % 2
-        rank = 1 + t % k
+        rank = 1 + t % min(k, d)
         psi = random_pure_state(dims, rank, seed=(seed, 3, t))
         back = lower_state(lift_state(psi, k).state, k)
         errors.append(float(np.linalg.norm(back.amplitudes - psi.amplitudes)))

@@ -36,7 +36,6 @@ from snwitness import (
 import snwitness.witness as witness
 from snwitness.checks import grid_product_min
 from snwitness.cli import main
-from snwitness.families import IsotropicWitnessSpec
 from snwitness.hilbert import PureState, product_state
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,7 +43,7 @@ D33 = Dims(3, 3)
 
 
 def isotropic(a, d=3):
-    return make_isotropic_witness(IsotropicWitnessSpec(a, d))
+    return make_isotropic_witness(a, d)
 
 
 def identity_over_nine():

@@ -55,7 +55,7 @@ def test_suites_draw_the_inputs_of_the_per_trial_reference(monkeypatch, suite):
     assert reference and stacked == reference
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("suite", sorted(SUITES_BY_TRIAL))
 def test_suites_match_the_per_trial_reference(suite, d):
     trials, seed = 2 * checks.BLOCK + 5, 23

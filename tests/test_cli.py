@@ -139,6 +139,22 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
+    "dims",
+    [{"dA": 2.7, "dB": 2}, {"dA": "2", "dB": 2}, {"dA": True, "dB": 2},
+     {"dA": 2, "dB": 2, "kA": 1.5}, {"dA": 2.0, "dB": 2}, {"dB": 2}],
+    ids=["fraction", "string", "bool", "ancilla-fraction", "float", "missing"],
+)
+def test_non_integer_dims_exit_2(tmp_path, capsys, dims):
+    # int() once truncated these to a valid Dims and the command exited 0
+    payload = json.loads("".join(_render(operator_to_json(random_hermitian(Dims(2, 2), 93)))))
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({**payload, "dims": dims}))
+    assert run_cli("classify", "--input", str(path), "--restarts", "4") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dims:")
+
+
+@pytest.mark.parametrize(
     "bad",
     [[None, 0], ["x", 0], [1, [0]], [10**400, 0], "short"],
     ids=["null", "string", "nested", "huge", "short"],
@@ -303,10 +319,11 @@ def test_scan_exits_3_on_a_bad_row(monkeypatch, tmp_path, fault):
     monkeypatch.setattr(families, "classify_schmidt_witness", one_bad_row)
     out = tmp_path / "scan.json"
     code = run_cli("scan", "--a-from", "0.05", "--a-to", "0.1", "--steps", "2",
-                   "--restarts", "4", "--output", str(out))
+                   "--restarts", "4", "--bisect", "--output", str(out))
     assert code == 3
-    rows = read_report(out)["result"]["rows"]
-    assert [row["converged"] for row in rows] == [True, False]
+    result = read_report(out)["result"]
+    assert [row["converged"] for row in result["rows"]] == [True, False]
+    assert result["boundaries"] == []  # a failed row's pairs are not bisected
 
 
 def test_lift_then_lower_state_roundtrip(tmp_path):

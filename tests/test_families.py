@@ -1,5 +1,6 @@
 """Tests for the family constructors, random generators and the scanner."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -25,23 +26,23 @@ from snwitness import (
     threshold_scan,
 )
 from snwitness.cli import main
-from snwitness.families import IsotropicWitnessSpec, _bisect_predicate
+from snwitness.families import _boundary
 
 D33 = Dims(3, 3)
 FAST = OptimizerConfig(seed=4, restarts=12)
 
 
 def isotropic(a, d=3):
-    return make_isotropic_witness(IsotropicWitnessSpec(a, d))
+    return make_isotropic_witness(a, d)
 
 
 def test_family_parameter_validation():
     with pytest.raises(ParameterError):
-        IsotropicWitnessSpec(-0.01)
+        make_isotropic_witness(-0.01, 3)
     with pytest.raises(ParameterError):
-        IsotropicWitnessSpec(1.0)
+        make_isotropic_witness(1.0, 3)
     with pytest.raises(ParameterError):
-        IsotropicWitnessSpec(0.2, d=1)
+        make_isotropic_witness(0.2, 1)
 
 
 def test_family_trace_is_one():
@@ -204,23 +205,38 @@ def test_scan_rejects_non_positive_bisect_tol():
             threshold_scan([0.05, 0.2], d=3, config=FAST, bisect=True, bisect_tol=bad)
 
 
-def test_bisection_stops_after_a_fixed_number_of_halvings():
+def count_level_evaluations(monkeypatch):
+    """The list of levels of every ``_level_minimum`` call the scanner makes."""
     calls = []
+    level_minimum = families._level_minimum
 
-    def predicate(a):
-        calls.append(a)
-        return a < 0.3
+    def counted(s, level, config):
+        calls.append(level)
+        return level_minimum(s, level, config)
 
-    # the endpoint verdicts come from the scan rows, so only midpoints are evaluated
-    a_star, width = _bisect_predicate(predicate, 0.1, 0.5, 0.0, (True, False))
-    assert abs(a_star - 0.3) < 1e-12 and width >= 0.0
-    assert len(calls) == families.MAX_HALVINGS
+    monkeypatch.setattr(families, "_level_minimum", counted)
+    return calls
 
 
-def test_bisection_without_a_sign_change_evaluates_nothing():
-    calls = []
-    a_star, width = _bisect_predicate(calls.append, 0.1, 0.5, 0.01, (True, True))
-    assert (a_star, width, calls) == (0.3, 0.4, [])
+def test_bisection_stops_at_adjacent_floats(monkeypatch):
+    calls = count_level_evaluations(monkeypatch)
+    scan = threshold_scan([0.125, 0.2], d=3, config=FAST, bisect=True, bisect_tol=1e-300)
+    (boundary,) = scan.boundaries
+    # from a bracket of width 0.075 the ends are adjacent floats after 52 halvings
+    assert len(calls) <= 60
+    assert 0 < boundary.width <= 2 * np.spacing(boundary.a_star)
+    assert abs(boundary.a_star - 1 / 6) < 1e-6
+
+
+def test_bisection_without_a_sign_change_evaluates_nothing(monkeypatch):
+    left, right = threshold_scan([0.125, 0.2], d=3, config=FAST).rows
+    # level 2 governs 3-SW | 2-SW; make it non-negative at the right row too
+    right = dataclasses.replace(right, product_min={**right.product_min, 2: 0.0})
+    calls = count_level_evaluations(monkeypatch)
+    boundary = _boundary(3, left, right, FAST, 0.01)
+    assert calls == []
+    assert (boundary.a_low, boundary.a_high) == (0.125, 0.2)
+    assert (boundary.a_star, boundary.width) == (0.5 * (0.125 + 0.2), 0.2 - 0.125)
 
 
 # isotropic thresholds: positive up to 1/d^2, level l negative beyond l/d
@@ -236,20 +252,29 @@ BOUNDARY_PAIRS = [
 
 
 @pytest.mark.parametrize("d, a_left, a_right", BOUNDARY_PAIRS)
-def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(d, a_left, a_right):
-    def family(a):
-        return isotropic(a, d)
-
+def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(monkeypatch, d, a_left, a_right):
     left, right = threshold_scan([a_left, a_right], d=d, config=FAST).rows
     assert left.verdict != right.verdict
-    predicate, ends = families._boundary_predicate(family, d, left, right, FAST)
-    assert ends == (predicate(a_left), predicate(a_right)) == (True, False)
-    # the end values are the governing level's minima, bit for bit
+    # the end values are the governing level's minima, bit for bit, and its
+    # sign flips between them
     positive = "PositiveOperator" in (left.verdict, right.verdict)
     level = d if positive else min(left.k, right.k)
+    ends = []
     for row in (left, right):
-        value = families._level_minimum(family(row.a), level, FAST)[0]
+        value = families._level_minimum(isotropic(row.a, d), level, FAST)[0]
         assert row.product_min.get(level, row.min_eigenvalue) == value
+        ends.append(value >= -FAST.positivity_tol)
+    assert ends == [True, False]
+    # so the bisection reads them from the rows and evaluates only inside
+    levels = count_level_evaluations(monkeypatch)
+    points = []
+    make = families.make_isotropic_witness
+    monkeypatch.setattr(
+        families, "make_isotropic_witness", lambda a, d: points.append(a) or make(a, d)
+    )
+    _boundary(d, left, right, FAST, 0.01)
+    assert points and levels == [level] * len(points)
+    assert all(a_left < a < a_right for a in points)
 
 
 def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
@@ -297,5 +322,5 @@ def test_classify_and_scan_never_build_the_lifted_operator(monkeypatch, tmp_path
                  "--output", str(out)]) == 0
     assert main(["scan", "--a-from", "0.05", "--a-to", "0.2", "--steps", "3", "--restarts", "8",
                  "--bisect", "--bisect-tol", "0.01", "--output", str(out)]) == 0
-    z = make_isotropic_witness(IsotropicWitnessSpec(0.0, 3))
+    z = make_isotropic_witness(0.0, 3)
     assert abs(lambda_max_subtraction(isotropic(1 / 8), z, 3, FAST).lambda0 - 2 / 7) < 1e-6

@@ -22,7 +22,6 @@ from snwitness import (
     schmidt_rank,
     trace_pair,
 )
-from snwitness.families import IsotropicWitnessSpec
 from snwitness.hilbert import HERMITICITY_TOL
 
 from oracles import reduced_density_a, reduced_density_b
@@ -120,7 +119,7 @@ def test_partial_expectation_identity_factorizes():
 
 def test_partial_expectation_isotropic_family_matrix():
     a = 0.21
-    s = make_isotropic_witness(IsotropicWitnessSpec(a))
+    s = make_isotropic_witness(a, 3)
     rng = np.random.default_rng(5)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     amps /= np.linalg.norm(amps)
@@ -135,7 +134,7 @@ def test_partial_expectation_isotropic_family_matrix():
 
 def test_partial_expectation_real_amplitudes_match_rank_one_update():
     a = 0.3
-    s = make_isotropic_witness(IsotropicWitnessSpec(a))
+    s = make_isotropic_witness(a, 3)
     lam = np.array([0.6, 0.48, 0.64])
     e = PureState(Dims(3, 1), lam.astype(complex))
     got = (1 - a) * partial_expectation(s, e, side="A").matrix
@@ -190,7 +189,7 @@ def test_min_eigenpair_identity():
 
 def test_min_eigenpair_isotropic_family():
     a = 0.2
-    s = make_isotropic_witness(IsotropicWitnessSpec(a))
+    s = make_isotropic_witness(a, 3)
     value, vec = min_eigenpair(s)
     assert abs(value - (1 / 9 - a) / (1 - a)) < 1e-12
     phi = maximally_entangled_state(3)
@@ -235,7 +234,7 @@ def test_expectation_values():
     assert abs(expectation(w, psi) - 1 / d**2) < 1e-12
 
     a = 0.17
-    s = make_isotropic_witness(IsotropicWitnessSpec(a))
+    s = make_isotropic_witness(a, 3)
     phi = maximally_entangled_state(3)
     assert abs(expectation(s, phi) - (1 / 9 - a) / (1 - a)) < 1e-12
 
@@ -253,7 +252,7 @@ def test_trace_pair_values():
     assert abs(trace_pair(w, uniform) - 1 / 9) < 1e-12
 
     a = 0.25
-    s = make_isotropic_witness(IsotropicWitnessSpec(a))
+    s = make_isotropic_witness(a, 3)
     phi = maximally_entangled_state(3).amplitudes
     proj = Operator(D33, np.outer(phi, phi.conj()))
     assert abs(trace_pair(s, proj) - (1 / 9 - a) / (1 - a)) < 1e-12

@@ -37,7 +37,6 @@ from snwitness import (
     threshold_scan,
     trace_pair,
 )
-from snwitness.families import IsotropicWitnessSpec
 from snwitness.witness import POSITIVE, SCHMIDT_WITNESS
 
 D33 = Dims(3, 3)
@@ -45,7 +44,7 @@ CFG = OptimizerConfig(seed=7, restarts=24)
 
 
 def isotropic(a, d=3):
-    return make_isotropic_witness(IsotropicWitnessSpec(a, d))
+    return make_isotropic_witness(a, d)
 
 
 def identity_over_nine():
