@@ -134,8 +134,9 @@ def threshold_scan(
             converged = cls.converged
             for level in SCAN_LEVELS:
                 if level not in product_min:
-                    product_min[level], _, level_converged = _level_minimum(s, level, config)
-                    converged = converged and level_converged
+                    fill = _level_minimum(s, level, config)
+                    product_min[level] = fill.value
+                    converged = converged and fill.converged
             rows.append(
                 ScanRow(
                     a=a,
@@ -187,6 +188,6 @@ def _boundary(d: int, left: ScanRow, right: ScanRow, config, bisect_tol: float) 
     lo, hi = left.a, right.a
     if ends == [True, False]:
         while hi - lo > 2 * bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-            inside = _level_minimum(make_isotropic_witness(mid, d), level, config)[0] >= -tol
+            inside = _level_minimum(make_isotropic_witness(mid, d), level, config).value >= -tol
             lo, hi = (mid, hi) if inside else (lo, mid)
     return Boundary(left.verdict, right.verdict, left.a, right.a, 0.5 * (lo + hi), hi - lo)

@@ -9,10 +9,12 @@ one factor, with orthonormal columns for k > 1, turns the problem into an
 exact eigenproblem for the other, whose operator is contracted straight
 from the (dA, dB, dA, dB) tensor of W, so the optimizer alternates exact
 half-steps over all restarts at once; the per-iteration value is
-non-increasing.  Certification is one-sided: the optimizer yields an upper
-bound on the true infimum, so "non-negative on products" verdicts carry the
-restart count as evidence and are validated against brute force at small
-dimensions (see ``checks``).
+non-increasing.  The optimizer yields an upper bound on the true infimum,
+so a "non-negative" verdict it gives is one-sided: it carries the restart
+count as evidence and is validated against brute force at small dimensions
+(see ``checks``).  The partial transpose gives a lower bound on every
+Schmidt level (``_level_bound``); a level that bound puts at or above
+-positivity_tol is certified without the optimizer, and reports the bound.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .hilbert import (
     _conditional,
     min_eigenpair,
     normalize,
+    partial_transpose,
     trace_pair,
 )
 
@@ -131,12 +134,14 @@ class WitnessClassification:
     -tol for every ancilla level l <= k-1 and dip below -tol at level k.
     k = 1 means the operator is negative already on a product state, i.e. it
     is not a valid witness of any Schmidt class.  Level l holds the minimum
-    of <psi|S|psi> over unit states of Schmidt rank <= l, so the levels are
-    non-increasing in l: below min(dA, dB) it is the rank-l see-saw minimum,
-    and level min(dA, dB) holds ``min_eigenvalue``, since every state has
-    Schmidt rank at most min(dA, dB).  A witness that no level up to a
-    ``max_k`` below min(dA, dB) detects has ``k`` None: its order exceeds
-    ``max_k``, which is all the ladder shows.
+    of <psi|S|psi> over unit states of Schmidt rank <= l: below min(dA, dB)
+    the partial-transpose lower bound where that bound is at least -tol,
+    else the rank-l see-saw minimum; level min(dA, dB) holds
+    ``min_eigenvalue``, since every state has Schmidt rank at most
+    min(dA, dB).  The levels are non-increasing in l only where every level
+    comes from one source: a bound can sit below a later see-saw level.  A
+    witness that no level up to a ``max_k`` below min(dA, dB) detects has
+    ``k`` None: its order exceeds ``max_k``, which is all the ladder shows.
     """
 
     verdict: str
@@ -185,7 +190,7 @@ def _starts(config: OptimizerConfig, dims: Dims, n: int) -> np.ndarray:
     rank = min(dims.a_dim, dims.b_dim) if dims.unextended else 1
     raw = _draws(config.seed, config.restarts, 2 * dims.a_dim * rank)
     vecs = raw[:, :n] + 1j * raw[:, n : 2 * n]
-    return vecs / np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
+    return vecs / np.sqrt(np.sum(vecs.real**2 + vecs.imag**2, axis=1))[:, None]
 
 
 def _lowest(p: np.ndarray, q: np.ndarray):
@@ -323,22 +328,61 @@ def is_entanglement_witness(w: Operator, config: OptimizerConfig) -> WitnessChec
     )
 
 
+class LevelMinimum(NamedTuple):
+    """One Schmidt level of S: the ``value`` of the minimum of <psi|S|psi>
+    over unit psi of Schmidt rank <= level, a unit ``minimizer`` (None for a
+    certified bound), whether the search ``converged``, and its ``source``:
+    "spectrum" (exact), "bound" (a lower bound at or above -positivity_tol)
+    or "seesaw" (the best restart, an upper bound)."""
+
+    value: float
+    minimizer: PureState | None
+    converged: bool
+    source: str
+
+
+def _transposed_extremes(s: Operator) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of S^Gamma, S with B transposed."""
+    evals = np.linalg.eigvalsh(partial_transpose(s).matrix)
+    return float(evals[0]), float(evals[-1])
+
+
+def _level_bound(s: Operator, level: int, extremes: tuple[float, float]) -> float:
+    """Lower bound on <psi|S|psi> over unit psi of Schmidt rank <= level, from
+    the ``extremes`` of S^Gamma, less the eigensolver's rounding.
+
+    <psi|S|psi> = Tr(S^Gamma X) with X = (|psi><psi|)^Gamma of trace 1 and
+    trace norm (sum_i mu_i^(1/2))^2 <= level in the squared Schmidt
+    coefficients mu_i, so X's negative part has trace <= (level - 1)/2.
+    Exact on the isotropic family; level 1 is the smallest eigenvalue.
+    """
+    lo, hi = extremes
+    slack = s.dims.total * float(np.finfo(float).eps) * max(abs(lo), abs(hi))
+    return (level + 1) / 2 * lo - (level - 1) / 2 * hi - slack
+
+
 def _level_minimum(
-    s: Operator, level: int, config: OptimizerConfig, eigenpair=None
-) -> tuple[float, PureState, bool]:
-    """Minimum of <psi|S|psi> over psi of Schmidt rank <= level, its minimizer
-    and whether the search converged, for S without ancillas.
+    s: Operator, level: int, config: OptimizerConfig, eigenpair=None, extremes=None
+) -> LevelMinimum:
+    """Minimum of <psi|S|psi> over psi of Schmidt rank <= level, for S
+    without ancillas.
 
     Every state has Schmidt rank <= min(dA, dB), so from that level on the
     answer is the smallest eigenvalue and its unit eigenvector (``eigenpair``
-    when the caller already has it) and no see-saw runs.  Below it, the
-    rank-level see-saw gives the unit minimizer A B^T.
+    when the caller already has it) and no see-saw runs.  Below it, a level
+    whose partial-transpose bound (from ``extremes`` when the caller already
+    has them) is at least -positivity_tol cannot detect, so that bound is
+    the answer; otherwise the rank-level see-saw gives the unit minimizer
+    A B^T.
     """
     if level >= min(s.dims.dA, s.dims.dB):
         value, vector = min_eigenpair(s) if eigenpair is None else eigenpair
-        return value, vector, True
+        return LevelMinimum(value, vector, True, "spectrum")
+    bound = _level_bound(s, level, _transposed_extremes(s) if extremes is None else extremes)
+    if bound >= -config.positivity_tol:
+        return LevelMinimum(bound, None, True, "bound")
     result = min_product_expectation(s, config, k=level)
-    return result.value, result.lowered(), result.converged
+    return LevelMinimum(result.value, result.lowered(), result.converged, "seesaw")
 
 
 def classify_schmidt_witness(
@@ -352,7 +396,9 @@ def classify_schmidt_witness(
     the normalized contraction of that level's minimizer, a state of Schmidt
     rank <= k with a negative expectation value.  Level min(dA, dB) is read
     from the spectrum: its value is the smallest eigenvalue and its detected
-    state the eigenvector, so the ladder never runs the see-saw there.
+    state the eigenvector, so the ladder never runs the see-saw there.  Nor
+    does it below that level where the partial-transpose bound, from one
+    eigensolve of S^Gamma, certifies the level (see ``_level_minimum``).
     """
     if not s.dims.unextended:
         raise DimensionError("classification expects an operator without ancillas")
@@ -366,14 +412,15 @@ def classify_schmidt_witness(
     tol = config.positivity_tol
     if min_eig >= -tol:
         return WitnessClassification(POSITIVE, None, min_eig, {}, None)
+    extremes = _transposed_extremes(s)
     per_level: dict[int, float] = {}
     converged = True
     for level in range(1, max_k + 1):
-        value, minimizer, level_converged = _level_minimum(s, level, config, eigenpair)
-        per_level[level] = value
-        converged = converged and level_converged
-        if value < -tol:
-            detected = normalize(minimizer)
+        found = _level_minimum(s, level, config, eigenpair, extremes)
+        per_level[level] = found.value
+        converged = converged and found.converged
+        if found.value < -tol:
+            detected = normalize(found.minimizer)
             return WitnessClassification(
                 SCHMIDT_WITNESS, level, min_eig, per_level, detected, converged
             )
@@ -474,7 +521,7 @@ def lambda_max_subtraction(
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
     for name, op, level in (("S", s, k - 1), ("Z", z, k)):
-        value = _level_minimum(op, level, config)[0]
+        value = _level_minimum(op, level, config).value
         if value < -config.positivity_tol:
             raise PreconditionError(
                 f"level {level} minimum of {name} is {value:g}: {name} must be "

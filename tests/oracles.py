@@ -41,7 +41,7 @@ def starts_by_restart(config, n):
     for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
-        starts.append(vec / np.linalg.norm(vec))
+        starts.append(vec / np.sqrt(np.sum(vec.real**2 + vec.imag**2)))
     return np.array(starts)
 
 

@@ -318,16 +318,19 @@ def construction_counts(monkeypatch, argv):
 
 def test_golden_scan_draws_each_start_once(monkeypatch, tmp_path):
     # one stream per restart for all three rows, both levels and every
-    # bisection step; the bisection endpoints are read from the rows
+    # bisection step; the bisection endpoints are read from the rows.  The
+    # see-saw runs only where the partial-transpose bound is below -tol: the
+    # 2-SW row's level 2 and the bisection steps on its side of a = 1/6
     argv = GOLDEN_COMMANDS["scan_thresholds.json"] + ["--output", str(tmp_path / "scan.json")]
-    assert construction_counts(monkeypatch, argv) == {"generators": 64, "product_min": 11}
+    assert construction_counts(monkeypatch, argv) == {"generators": 64, "product_min": 4}
 
 
 def test_classify_ladder_draws_each_start_once(monkeypatch, tmp_path):
-    # a 5-SW member: levels 1..4 run the see-saw from the same 64 streams
+    # a 5-SW member: the partial-transpose bound certifies levels 1..4 and
+    # level 5 is the spectrum, so no start is drawn and no see-saw runs
     argv = ["classify", "--family", "isotropic", "--dim", "5", "--a", "0.045",
             "--output", str(tmp_path / "classify.json")]
-    assert construction_counts(monkeypatch, argv) == {"generators": 64, "product_min": 4}
+    assert construction_counts(monkeypatch, argv) == {"generators": 0, "product_min": 0}
 
 
 def test_criterion_10_golden_content_is_consistent():

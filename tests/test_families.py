@@ -8,7 +8,6 @@ import pytest
 
 import snwitness.cli as cli
 import snwitness.families as families
-import snwitness.witness as witness
 from snwitness import (
     Dims,
     OptimizerConfig,
@@ -261,7 +260,7 @@ def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(monkeypatch, d
     level = d if positive else min(left.k, right.k)
     ends = []
     for row in (left, right):
-        value = families._level_minimum(isotropic(row.a, d), level, FAST)[0]
+        value = families._level_minimum(isotropic(row.a, d), level, FAST).value
         assert row.product_min.get(level, row.min_eigenvalue) == value
         ends.append(value >= -FAST.positivity_tol)
     assert ends == [True, False]
@@ -278,11 +277,15 @@ def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(monkeypatch, d
 
 
 def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
-    # a positive row runs no see-saw to classify, but its level 1 and 2
-    # fill-ins do; isotropic levels converge in one iteration, so no
-    # restart may stop, and it has only that one
-    monkeypatch.setattr(witness, "CONVERGENCE_TOL", -np.inf)
-    monkeypatch.setattr(witness, "MAX_ITERS", 1)
+    # a positive row runs no ladder to classify, but it fills in levels 1
+    # and 2; the partial-transpose bound certifies both on the isotropic
+    # family, so an unconverged fill-in is forced
+    level_minimum = families._level_minimum
+
+    def unconverged(s, level, config):
+        return level_minimum(s, level, config)._replace(converged=False)
+
+    monkeypatch.setattr(families, "_level_minimum", unconverged)
     (row,) = threshold_scan([0.05], d=3, config=FAST).rows
     assert (row.verdict, row.converged) == ("PositiveOperator", False)
     argv = ["scan", "--a-from", "0.05", "--a-to", "0.05", "--steps", "1", "--dim", "3",

@@ -235,14 +235,89 @@ def test_classification_matches_the_rank_k_oracle(problem):
         assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, int(negative[0]) + 1)
     else:
         assert (cls.verdict, cls.k) == (POSITIVE, None)
+    extremes = witness._transposed_extremes(s)
     for level, value in cls.per_level_product_min.items():
         m = oracle[level - 1]
         if level < full:
-            # the kernel minimizes over unit states of Schmidt rank <= level
-            assert abs(value - m) <= 1e-8
+            bound = witness._level_bound(s, level, extremes)
+            if bound >= -tol:
+                # a certified level reports the partial-transpose bound,
+                # which may sit below the minimum at levels >= 2
+                assert value == bound
+                assert -tol <= value <= m + 1e-12
+            else:
+                # the kernel minimizes over unit states of Schmidt rank <= level
+                assert abs(value - m) <= 1e-8
             assert (value < -tol) == (m < 0)
         else:
             assert value == cls.min_eigenvalue
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("a", [0.05, 0.2, 0.5, 0.9])
+def test_partial_transpose_bound_is_exact_on_the_isotropic_family(d, a):
+    s = isotropic(a, d=d)
+    extremes = witness._transposed_extremes(s)
+    for level in range(1, d + 1):
+        closed = (1 / d**2 - a * level / d) / (1 - a)
+        assert abs(witness._level_bound(s, level, extremes) - closed) < 1e-12
+
+
+@st.composite
+def perturbed_isotropic(draw):
+    """A d-SW isotropic member plus a small random Hermitian term: the bound
+    certifies some of its levels >= 2, which the other strategies never
+    reach.  Shaped like them: (S, None, seed)."""
+    d = draw(st.sampled_from([3, 4]))
+    a = (1 / d**2 + 1 / (d * (d - 1))) / 2
+    noise = random_unit_hermitian(Dims(d, d), draw(st.integers(0, 2**32 - 1))).matrix
+    s = Operator(Dims(d, d), isotropic(a, d=d).matrix + draw(st.floats(0.0, 0.01)) * noise)
+    return s, None, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(rank_one_dips(), rank_k_problems(), perturbed_isotropic()))
+def test_partial_transpose_bound_is_below_the_seesaw(problem):
+    s, _, seed = problem
+    config = OptimizerConfig(seed=seed, restarts=4)
+    tol = config.positivity_tol
+    extremes = witness._transposed_extremes(s)
+    for level in range(1, min(s.dims.dA, s.dims.dB)):
+        bound = witness._level_bound(s, level, extremes)
+        found = witness._level_minimum(s, level, config, extremes=extremes)
+        assert found.source == ("bound" if bound >= -tol else "seesaw")
+        if found.source == "seesaw":
+            seesaw = found.value
+        else:
+            assert (found.value, found.minimizer, found.converged) == (bound, None, True)
+            seesaw = min_product_expectation(s, config, k=level).value
+            assert seesaw >= -tol
+        assert bound <= seesaw + 1e-12
+
+
+@pytest.mark.parametrize("margin, source, k", [(0.5, "bound", 3), (2.0, "seesaw", 2)])
+def test_the_bound_decides_a_level_only_down_to_minus_tol(margin, source, k):
+    # level 2 of iso(a) at d = 3 is exactly (1/9 - 2a/3)/(1 - a); put it at
+    # -margin * tol, just above or just below -tol
+    value = -margin * CFG.positivity_tol
+    s = isotropic((1 / 9 - value) / (2 / 3 - value))
+    found = witness._level_minimum(s, 2, CFG)
+    assert found.source == source
+    assert abs(found.value - value) < 1e-12
+    assert classify_schmidt_witness(s, config=CFG).k == k
+
+
+@pytest.mark.parametrize("d", [10, 12, 14])
+def test_isotropic_ladder_at_large_d_runs_no_seesaw(monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the see-saw ran")
+
+    monkeypatch.setattr(witness, "_seesaw", refuse)
+    a = (1 / d**2 + 1 / (d * (d - 1))) / 2
+    cls = classify_schmidt_witness(isotropic(a, d=d), config=OptimizerConfig(restarts=8))
+    assert (cls.verdict, cls.k, cls.converged) == (SCHMIDT_WITNESS, d, True)
+    for level, value in cls.per_level_product_min.items():
+        assert abs(value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-12
 
 
 @pytest.mark.parametrize("d", range(3, 9))
@@ -392,12 +467,22 @@ def test_the_kernel_never_runs_at_the_full_rank_level(monkeypatch):
         return kernel(s4, k, *args)
 
     monkeypatch.setattr(witness, "_seesaw", recording)
-    # 1/16 < a <= 1/12: non-negative on Schmidt rank <= 3, negative at rank 4
-    cls = classify_schmidt_witness(isotropic(0.07, d=4), config=OptimizerConfig(restarts=8))
+    # a rank-one dip 0.95 I - |phi><phi| on 4x4, phi of squared Schmidt
+    # coefficients (0.7, 0.1, 0.1, 0.1): level l is 0.95 minus the first l of
+    # them, non-negative up to rank 3 and negative at rank 4.  The
+    # partial-transpose bound is exact at level 1 and below -tol at levels 2
+    # and 3, so those two run the see-saw
+    rng = np.random.default_rng(5)
+    u, v = (np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0] for _ in "uv")
+    phi = ((u * np.sqrt([0.7, 0.1, 0.1, 0.1])) @ v.T).ravel()
+    s = Operator(Dims(4, 4), 0.95 * np.eye(16) - np.outer(phi, phi.conj()))
+    cls = classify_schmidt_witness(s, config=OptimizerConfig(restarts=8))
     assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, 4)
-    assert levels == [1, 2, 3]
+    assert levels == [2, 3]
+    for level, m in zip([1, 2, 3], [0.25, 0.15, 0.05]):
+        assert abs(cls.per_level_product_min[level] - m) < 1e-8
     assert cls.per_level_product_min[4] == cls.min_eigenvalue
-    detected = expectation(isotropic(0.07, d=4), cls.detected_state)
+    detected = expectation(s, cls.detected_state)
     assert abs(detected - cls.min_eigenvalue) < 1e-12
     levels.clear()
     # positive, 2-SW and 1-SW rows; level 2 is filled in where the ladder stopped
