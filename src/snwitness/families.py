@@ -14,6 +14,7 @@ from .witness import (
     OptimizerConfig,
     WitnessClassification,
     _level_minimum,
+    _transposed_extremes,
     classify_schmidt_witness,
 )
 
@@ -132,11 +133,13 @@ def threshold_scan(
             cls = classify_schmidt_witness(s, max_k, config)
             product_min = dict(cls.per_level_product_min)
             converged = cls.converged
-            for level in SCAN_LEVELS:
-                if level not in product_min:
-                    fill = _level_minimum(s, level, config)
-                    product_min[level] = fill.value
-                    converged = converged and fill.converged
+            missing = [level for level in SCAN_LEVELS if level not in product_min]
+            # one S^Gamma spectrum for the row's fill-ins below full rank
+            extremes = _transposed_extremes(s) if any(level < d for level in missing) else None
+            for level in missing:
+                fill = _level_minimum(s, level, config, extremes=extremes)
+                product_min[level] = fill.value
+                converged = converged and fill.converged
             rows.append(
                 ScanRow(
                     a=a,

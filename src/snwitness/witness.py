@@ -79,9 +79,8 @@ class OptimizerConfig:
 
 class SeesawRun(NamedTuple):
     """One ``_seesaw`` run.  Per restart: final ``values``, factors ``a`` and
-    ``b`` (without ``q4``, A B^T is a unit state: A of unit norm, B too for
-    k = 1, else with orthonormal columns), ``converged`` flags, and whether S
-    was ``negative`` on the kernel of a conditional Q.  Per iteration, a
+    ``b`` (A B^T is a unit state: A of unit norm, B too for k = 1, else with
+    orthonormal columns) and ``converged`` flags.  Per iteration, a
     ``history`` row: (R, 2) half-step values, NaN for stopped restarts."""
 
     values: np.ndarray
@@ -89,7 +88,6 @@ class SeesawRun(NamedTuple):
     b: np.ndarray
     converged: np.ndarray
     history: list
-    negative: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -193,80 +191,47 @@ def _starts(config: OptimizerConfig, dims: Dims, n: int) -> np.ndarray:
     return vecs / np.sqrt(np.sum(vecs.real**2 + vecs.imag**2, axis=1))[:, None]
 
 
-def _lowest(p: np.ndarray, q: np.ndarray):
-    """Lowest eigenpair of each pencil <v|P|v> / <v|Q|v> of a stack, on Q's support.
-
-    Q is whitened on its support (eigenvalues above 1e-10 of its largest
-    modulus); the other directions are decoupled and shifted above the
-    spectrum, so they never win.  Returns (values, vectors, negative): NaN
-    values and zero vectors where Q has no support, <v|Q|v> = 1 elsewhere,
-    and flags where P is negative on the rest of Q's space.
-    """
-    evals, evecs = np.linalg.eigh(q)
-    scale = np.maximum(np.abs(evals).max(axis=1), 1e-300)
-    support = evals > scale[:, None] * 1e-10
-    inv = np.zeros_like(evals)
-    inv[support] = evals[support] ** -0.5
-    inner = evecs.conj().transpose(0, 2, 1) @ p @ evecs
-    reduced = inner * inv[:, :, None] * inv[:, None, :]
-    shift = (1 + np.linalg.norm(reduced, axis=(1, 2)))[:, None] * ~support
-    vals, vecs = np.linalg.eigh(reduced + shift[:, :, None] * np.eye(evals.shape[1]))
-    vectors = evecs @ (inv[:, :, None] * vecs[:, :, :1])
-    off = ~support[:, :, None] & ~support[:, None, :]
-    negative = np.linalg.eigvalsh(inner * off)[:, 0] < -scale * 1e-8
-    values = np.where(support.any(axis=1), vals[:, 0], np.nan)
-    return values, vectors[:, :, 0], negative
-
-
-def _seesaw(s4: np.ndarray, k: int, starts, q4=None) -> SeesawRun:
+def _seesaw(s4: np.ndarray, k: int, starts) -> SeesawRun:
     """Rank-k see-saw on the (dA, dB, dA, dB) tensor of S, all restarts at once.
 
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
-    with A (dA x k) and B (dB x k), from one start A per row of ``starts``;
+    with A (dA x k) and B (dB x k), from one start A per row of ``starts``
+    (fresh ``_starts``, or the ``a`` of an earlier run to warm-start);
     needs k <= min(dA, dB).  Each half-step solves one factor exactly with
     the other fixed, by one stacked ``eigh`` over the restarts still active.
     For k > 1 the fixed factor is first replaced by the Q of its QR
     decomposition: that keeps psi, and with orthonormal columns
     ||psi|| = ||free factor||_F, so the unit eigenvector is the exact
     minimum over unit states of Schmidt rank <= k with the fixed span.
-    Given the tensor ``q4`` of a second operator Q, the same loop minimizes
-    the pencil <psi|S|psi> / <psi|Q|psi> (Q = I is the plain case), each
-    half-step by ``_lowest``; a degenerate start, one whose conditional Q
-    has no support, gets the value NaN and is dropped.  A restart leaves
-    the stack once its A half-step gains less than CONVERGENCE_TOL on the
-    same iteration's B half-step (B is exact for A, and A then within the
-    tolerance of exact for B: a fixed point of both), or after MAX_ITERS.
+    A restart leaves the stack once its A half-step gains less than
+    CONVERGENCE_TOL on the same iteration's B half-step (B is exact for A,
+    and A then within the tolerance of exact for B: a fixed point of
+    both), or after MAX_ITERS.
     """
 
-    def solve(t4, u4, f):
-        if u4 is None:
-            vals, vecs = np.linalg.eigh(_conditional(t4, f))
-            return vals[:, 0], vecs[:, :, 0], False
-        return _lowest(_conditional(t4, f), _conditional(u4, f))
+    def solve(t4, f):
+        vals, vecs = np.linalg.eigh(_conditional(t4, f))
+        return vals[:, 0], vecs[:, :, 0]
 
     da, db = s4.shape[0], s4.shape[1]
     swapped = s4.transpose(1, 0, 3, 2)
-    q_swapped = None if q4 is None else q4.transpose(1, 0, 3, 2)
     a = np.array(starts, dtype=np.complex128).reshape(-1, da, k)
     a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
     r = a.shape[0]
     b = np.zeros((r, db, k), dtype=np.complex128)
     values = np.full(r, np.inf)
     converged = np.zeros(r, dtype=bool)
-    negative = np.zeros(r, dtype=bool)
     active = np.arange(r)
     history = []
     for _ in range(MAX_ITERS):
         if k > 1:
             a[active] = np.linalg.qr(a[active])[0]
-        vals_b, vecs_b, neg_b = solve(s4, q4, a[active])
+        vals_b, vecs_b = solve(s4, a[active])
         b[active] = vecs_b.reshape(-1, db, k)
         if k > 1:
             b[active] = np.linalg.qr(b[active])[0]
-        vals_a, vecs_a, neg_a = solve(swapped, q_swapped, b[active])
+        vals_a, vecs_a = solve(swapped, b[active])
         a[active] = vecs_a.reshape(-1, da, k)
-        if q4 is not None:
-            negative[active] |= neg_b | neg_a
         step = np.full((r, 2), np.nan)
         step[active, 0], step[active, 1] = vals_b, vals_a
         history.append(step)
@@ -276,7 +241,7 @@ def _seesaw(s4: np.ndarray, k: int, starts, q4=None) -> SeesawRun:
         active = active[~done]
         if not active.size:
             break
-    return SeesawRun(values, a, b, converged, history, negative)
+    return SeesawRun(values, a, b, converged, history)
 
 
 def min_product_expectation(
@@ -357,8 +322,13 @@ def _level_bound(s: Operator, level: int, extremes: tuple[float, float]) -> floa
     Exact on the isotropic family; level 1 is the smallest eigenvalue.
     """
     lo, hi = extremes
-    slack = s.dims.total * float(np.finfo(float).eps) * max(abs(lo), abs(hi))
-    return (level + 1) / 2 * lo - (level - 1) / 2 * hi - slack
+    return (level + 1) / 2 * lo - (level - 1) / 2 * hi - _rounding(s, extremes)
+
+
+def _rounding(s: Operator, evals) -> float:
+    """Eigensolver rounding on an operator of S's size whose eigenvalues
+    include ``evals`` (their extremes suffice): n eps max|lambda|."""
+    return s.dims.total * float(np.finfo(float).eps) * float(np.max(np.abs(evals)))
 
 
 def _level_minimum(
@@ -489,6 +459,37 @@ def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
     return FinerCertificate(found, 1 / t, min_eig, z, evidence)
 
 
+def _ratio_min(p: Operator, q: Operator, level: int, config: OptimizerConfig, psi) -> float:
+    """Smallest <psi|P|psi> / <psi|Q|psi> over unit psi of Schmidt rank <= level
+    found by Dinkelbach's iteration from the unit state ``psi``: with r the
+    ratio at psi, the see-saw minimizes P - r Q (from fresh ``_starts``, then
+    from the last run's A factors) and its best A B^T is the next psi, until
+    that minimum is >= -1e-12 max(1, |r|) or r stops falling.  A <P> within
+    rounding of 0 reads as 0; where <Q> is not above rounding, the ratio is
+    -inf if <P> < 0, else 0."""
+    tau_p, tau_q = (_rounding(op, np.linalg.eigvalsh(op.matrix)) for op in (p, q))
+
+    def ratio(psi) -> float:
+        num, den = (float(np.vdot(psi, m @ psi).real) for m in (p.matrix, q.matrix))
+        if den > tau_q:
+            return 0.0 if abs(num) <= tau_p else num / den
+        return -np.inf if num < -tau_p else 0.0
+
+    starts = _starts(config, p.dims, p.dims.dA * level)
+    r = ratio(psi)
+    while r > -np.inf:
+        run = _seesaw(p.as_tensor() - r * q.as_tensor(), level, starts)
+        best = int(np.argmin(run.values))
+        if run.values[best] >= -1e-12 * max(1.0, abs(r)):
+            break
+        starts = run.a
+        following = ratio((run.a[best] @ run.b[best].T).ravel())
+        if not following < r:
+            break
+        r = following
+    return r
+
+
 def lambda_max_subtraction(
     s: Operator,
     z: Operator,
@@ -498,18 +499,17 @@ def lambda_max_subtraction(
     """Largest lambda keeping (S - lambda Z)/(1 - lambda) a k-Schmidt witness.
 
     Estimates the threshold from the two equivalent quadratic-form ratios of
-    the pair over states of Schmidt rank <= k-1: the smallest
-    <psi|S|psi> / <psi|Z|psi> and the inverse of the largest
-    <psi|Z|psi> / <psi|S|psi>, the latter as the smallest ratio of -Z over
-    S.  Both run on the one batched see-saw kernel ``_seesaw`` as a pencil,
-    all restarts at once; degenerate starts (no support of the denominator
-    form) are dropped.  Either formulation reports 0 where its numerator
-    form is negative on the denominator's kernel.  S must be a
-    k-Schmidt witness, non-negative on Schmidt rank <= k-1, and Z must be
-    non-negative on Schmidt class k: both minima are computed first by
-    ``_level_minimum`` (level k = min(dA, dB) is Z's smallest eigenvalue),
-    and a value below -positivity_tol raises PreconditionError.  Needs
-    2 <= k <= min(dA, dB).
+    the pair over states of Schmidt rank <= k-1, each by ``_ratio_min``:
+    ``lambda0`` is the smallest <psi|S|psi> / <psi|Z|psi>, from Z's see-saw
+    maximizer and clamped at 0; ``formula_sup_inv`` is 1 / the largest
+    <psi|Z|psi> / <psi|S|psi>, as -1 / the smallest ratio of -Z over S from
+    S's see-saw minimizer (0 where Z is positive on a state on which S
+    vanishes).  S must be a k-Schmidt witness, non-negative on Schmidt rank
+    <= k-1, and Z must be non-negative on Schmidt class k: both minima are
+    computed first by ``_level_minimum`` (level k = min(dA, dB) is Z's
+    smallest eigenvalue), and a value below -positivity_tol raises
+    PreconditionError, as does a Z whose maximum over Schmidt rank <= k-1 is
+    within rounding of 0.  Needs 2 <= k <= min(dA, dB).
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -520,31 +520,27 @@ def lambda_max_subtraction(
     limit = min(s.dims.dA, s.dims.dB)
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
+    minima = []
     for name, op, level in (("S", s, k - 1), ("Z", z, k)):
-        value = _level_minimum(op, level, config).value
-        if value < -config.positivity_tol:
+        minima.append(_level_minimum(op, level, config))
+        if (value := minima[-1].value) < -config.positivity_tol:
             raise PreconditionError(
                 f"level {level} minimum of {name} is {value:g}: {name} must be "
                 f"non-negative on Schmidt rank <= {level}"
             )
 
-    s4, z4 = s.as_tensor(), z.as_tensor()
-    starts = _starts(config, s.dims, s.dims.dA * (k - 1))
-    ratios = _seesaw(s4, k - 1, starts, q4=z4)
-    min_ratio = float(np.nanmin(ratios.values, initial=np.inf))
-    if ratios.negative.any():
-        lambda0 = 0.0
-    elif min_ratio == np.inf:
-        raise PreconditionError("every sampled direction was degenerate")
-    else:
-        lambda0 = max(min_ratio, 0.0)
-
-    inverse = _seesaw(-z4, k - 1, starts, q4=s4)
-    sup_ratio = -float(np.nanmin(inverse.values, initial=np.inf))
-    if inverse.negative.any():  # Z > 0 where S vanishes: the sup is infinite
-        formula_sup_inv = 0.0
-    else:
-        formula_sup_inv = 1.0 / sup_ratio if sup_ratio > 0.0 else np.inf
+    minus_z = Operator._unchecked(z.dims, -z.matrix)
+    z_max = min_product_expectation(minus_z, config, k - 1)
+    if -z_max.value <= _rounding(z, np.linalg.eigvalsh(z.matrix)):
+        raise PreconditionError(
+            f"Z vanishes on Schmidt rank <= {k - 1}: its maximum there is {-z_max.value:g}"
+        )
+    lambda0 = max(_ratio_min(s, z, k - 1, config, z_max.lowered().amplitudes), 0.0)
+    psi_s = minima[0].minimizer  # S's see-saw minimizer, unless its bound certified
+    if psi_s is None:
+        psi_s = min_product_expectation(s, config, k - 1).lowered()
+    inverse = _ratio_min(minus_z, s, k - 1, config, psi_s.amplitudes)
+    formula_sup_inv = -1.0 / inverse if inverse < 0 else np.inf
 
     refined = refine_by_subtraction(s, z, lambda0) if lambda0 < 1.0 else None
     return SubtractionResult(lambda0, formula_sup_inv, refined)

@@ -3,8 +3,9 @@
 Everything here is deliberately written via a different route than the
 implementation under test: partial traces instead of SVD, term-wise
 Schmidt lowering instead of the direct ancilla contraction, eigenvalue
-counting instead of Schmidt forms, one per-restart loop per pencil
-instead of the batched see-saw kernel, one trial at a time through the
+counting instead of Schmidt forms, a per-restart see-saw on the pencil
+(one generalized eigenproblem per half-step) instead of Dinkelbach's
+iteration on the batched see-saw kernel, one trial at a time through the
 single-object maps instead of the stacked suites of ``snwitness.checks``,
 a per-term phase loop instead of the stacked Schmidt kernel, one generator
 per restart instead of the cached start draws.  ``random_unit_hermitian``
@@ -170,26 +171,20 @@ def _pencil_extreme(p: np.ndarray, q: np.ndarray, largest: bool):
     """Extremal eigenpair of the quadratic-form ratio <v|P|v>/<v|Q|v>.
 
     Whitens by the pseudo-inverse square root of Q on its support.  Returns
-    (value, vector, negative_on_kernel); the value is None when Q has no
-    support (a degenerate direction, skipped by the caller).
+    (value, vector); the value is None when Q has no support (a degenerate
+    direction, skipped by the caller).
     """
     evals, evecs = np.linalg.eigh(q)
     scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
     support = evals > scale * 1e-10
-    negative_on_kernel = False
-    if not support.all():
-        kernel = evecs[:, ~support]
-        overlap = kernel.conj().T @ p @ kernel
-        if overlap.size and float(np.linalg.eigvalsh(overlap)[0]) < -scale * 1e-8:
-            negative_on_kernel = True
     if not support.any():
-        return None, None, negative_on_kernel
+        return None, None
     cols = evecs[:, support] / np.sqrt(evals[support])
     reduced = cols.conj().T @ p @ cols
     vals, vecs = np.linalg.eigh(reduced)
     idx = -1 if largest else 0
     vector = cols @ vecs[:, idx]
-    return float(vals[idx]), vector / np.linalg.norm(vector), negative_on_kernel
+    return float(vals[idx]), vector / np.linalg.norm(vector)
 
 
 def _pencil_seesaw(
@@ -200,28 +195,24 @@ def _pencil_seesaw(
     ``p4`` and ``q4`` are (dA, dB, dA, dB) tensors.  Each half-step solves the
     generalized eigenproblem for one rank-k factor with the other fixed, so
     the ratio is monotone along a run.  Returns the best ratio over restarts
-    (None if every direction was degenerate) and whether P was found
-    negative on the kernel of Q anywhere.
+    (None if every direction was degenerate).
     """
     da, db = p4.shape[0], p4.shape[1]
     p_swap, q_swap = p4.transpose(1, 0, 3, 2), q4.transpose(1, 0, 3, 2)
     best = None
-    kernel_flag = False
     for start in starts_by_restart(config, da * k):
         a = start.reshape(1, da, k)
         value = None
         for _ in range(MAX_ITERS):
-            val_b, b, neg = _pencil_extreme(
+            val_b, b = _pencil_extreme(
                 _conditional(p4, a)[0], _conditional(q4, a)[0], largest
             )
-            kernel_flag = kernel_flag or neg
             if val_b is None:
                 break
             b = b.reshape(1, db, k)
-            val_a, a, neg = _pencil_extreme(
+            val_a, a = _pencil_extreme(
                 _conditional(p_swap, b)[0], _conditional(q_swap, b)[0], largest
             )
-            kernel_flag = kernel_flag or neg
             if val_a is None:
                 break
             a = a.reshape(1, da, k)
@@ -232,7 +223,7 @@ def _pencil_seesaw(
             continue
         if best is None or (value > best if largest else value < best):
             best = value
-    return best, kernel_flag
+    return best
 
 
 def schmidt_by_term_loop(psi):

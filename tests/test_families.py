@@ -8,6 +8,7 @@ import pytest
 
 import snwitness.cli as cli
 import snwitness.families as families
+import snwitness.witness as witness
 from snwitness import (
     Dims,
     OptimizerConfig,
@@ -209,9 +210,9 @@ def count_level_evaluations(monkeypatch):
     calls = []
     level_minimum = families._level_minimum
 
-    def counted(s, level, config):
+    def counted(s, level, config, **kwargs):
         calls.append(level)
-        return level_minimum(s, level, config)
+        return level_minimum(s, level, config, **kwargs)
 
     monkeypatch.setattr(families, "_level_minimum", counted)
     return calls
@@ -282,8 +283,8 @@ def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
     # family, so an unconverged fill-in is forced
     level_minimum = families._level_minimum
 
-    def unconverged(s, level, config):
-        return level_minimum(s, level, config)._replace(converged=False)
+    def unconverged(s, level, config, **kwargs):
+        return level_minimum(s, level, config, **kwargs)._replace(converged=False)
 
     monkeypatch.setattr(families, "_level_minimum", unconverged)
     (row,) = threshold_scan([0.05], d=3, config=FAST).rows
@@ -291,6 +292,37 @@ def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
     argv = ["scan", "--a-from", "0.05", "--a-to", "0.05", "--steps", "1", "--dim", "3",
             "--restarts", "4", "--output", str(tmp_path / "scan.json")]
     assert main(argv) == 3
+
+
+def count_transposed_spectra(monkeypatch):
+    """The list of operators whose S^Gamma extremes the scan computes."""
+    calls = []
+    transposed_extremes = witness._transposed_extremes
+
+    def counted(s):
+        calls.append(s)
+        return transposed_extremes(s)
+
+    monkeypatch.setattr(witness, "_transposed_extremes", counted)
+    monkeypatch.setattr(families, "_transposed_extremes", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a_values, spectra",
+    [
+        # a positive row: classification stops at the spectrum, and one
+        # S^Gamma spectrum serves both fill-in levels
+        ([0.05], 1),
+        # the golden scan_thresholds rows: one positive row, and two witness
+        # rows whose ladders list levels 1 and 2 already
+        ([0.05, 0.125, 0.2], 3),
+    ],
+)
+def test_scan_computes_one_transposed_spectrum_per_row(monkeypatch, a_values, spectra):
+    calls = count_transposed_spectra(monkeypatch)
+    threshold_scan(a_values, d=3, config=OptimizerConfig(seed=7, restarts=64))
+    assert len(calls) == spectra
 
 
 def test_scan_csv_level_columns_follow_scan_levels(monkeypatch):

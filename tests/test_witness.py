@@ -138,7 +138,7 @@ def test_seesaw_monotone_on_lifted_operator():
     w = lift_operator(isotropic(0.2), 2).operator
     rng = np.random.default_rng(64)
     start = rng.normal(size=6) + 1j * rng.normal(size=6)
-    values, _, _, converged, history, _ = witness._seesaw(w.as_tensor(), 1, [start])
+    values, _, _, converged, history = witness._seesaw(w.as_tensor(), 1, [start])
     assert np.all(np.diff(restart_history(history, 0)) <= 1e-12)
     assert converged[0]
     assert values[0] >= (1 / 18 - 0.2 / 3) / 0.8 - 1e-9
@@ -151,7 +151,7 @@ def test_isotropic_levels_stop_after_one_iteration(d):
     s4 = isotropic((1 / d**2 + 1 / (d * (d - 1))) / 2, d=d).as_tensor()
     for level in range(1, d):
         starts = starts_by_restart(CFG, d * level)
-        _, _, _, converged, history, _ = witness._seesaw(s4, level, starts)
+        _, _, _, converged, history = witness._seesaw(s4, level, starts)
         assert len(history) == 1
         assert converged.all()
 
@@ -162,7 +162,7 @@ def test_seesaw_stops_at_the_first_a_half_step_gaining_under_the_tolerance(shape
     for t in range(3):
         s = random_unit_hermitian(Dims(*shape), seed=(69, t))
         starts = starts_by_restart(CFG, shape[0] * k)
-        _, _, _, converged, history, _ = witness._seesaw(s.as_tensor(), k, starts)
+        _, _, _, converged, history = witness._seesaw(s.as_tensor(), k, starts)
         assert converged.all()
         for steps in np.stack(history, axis=1):
             rows = steps[~np.isnan(steps[:, 0])]
@@ -699,14 +699,16 @@ def test_finer_certificate_validates_traces():
 
 def test_identity_pencil_threshold_is_one():
     # Z = S breaks the precondition on Z (S is negative on class 3), so the
-    # pencil of S over itself is checked on the kernel: every ratio is 1
+    # ratio of S over itself is checked directly: every ratio is 1, and -1
+    # for -S, from a product state on which <S> > 0
     s = isotropic(1 / 8)
     with pytest.raises(PreconditionError, match=r"level 3 minimum of Z is -0\.015873"):
         lambda_max_subtraction(s, s, 3, CFG)
-    s4 = s.as_tensor()
-    starts = witness._starts(CFG, D33, 2 * 3)
-    assert np.abs(witness._seesaw(s4, 2, starts, q4=s4)[0] - 1.0).max() < 1e-9
-    assert np.abs(witness._seesaw(-s4, 2, starts, q4=s4)[0] + 1.0).max() < 1e-9
+    psi = np.zeros(9, dtype=complex)
+    psi[0] = 1.0  # |00>, where <S> = (1/9 - 1/24) / (7/8)
+    minus_s = Operator(D33, -s.matrix)
+    assert witness._ratio_min(s, s, 2, CFG, psi) == 1.0
+    assert witness._ratio_min(minus_s, s, 2, CFG, psi) == -1.0
 
 
 def test_subtraction_threshold_for_family_instance():
@@ -736,6 +738,37 @@ def test_both_formulations_are_zero_where_s_vanishes_and_z_does_not(pair):
     for seed in range(4):
         result = lambda_max_subtraction(s, z, 2, OptimizerConfig(seed=seed, restarts=24))
         assert (result.lambda0, result.formula_sup_inv) == (0.0, 0.0), seed
+
+
+def test_subtraction_where_the_minimizer_of_s_lies_in_the_kernel_of_z():
+    # S = I/9 - |22><22|/18 and Z = diag(1, 1, 0) (x) I at k = 2: on products
+    # |ab>, S/Z is smallest at a_2 = 0, b = |2> (1/9); the dual starts from
+    # S's product minimizer |22>, where <Z> = 0
+    matrix = np.eye(9) / 9
+    matrix[8, 8] -= 1 / 18
+    z = Operator(D33, np.kron(np.diag([1.0, 1.0, 0.0]), np.eye(3)))
+    result = lambda_max_subtraction(Operator(D33, matrix), z, 2, CFG)
+    assert abs(result.lambda0 - 1 / 9) < 1e-9
+    assert abs(result.formula_sup_inv - 1 / 9) < 1e-9
+
+
+def test_subtraction_is_zero_where_the_level_minimum_of_s_is_just_below_zero(monkeypatch):
+    # iso(1/3 + 1e-7) is negative on products by about 5e-8, within
+    # positivity_tol: lambda0 is clamped at 0, where the ratio cannot fall
+    # further, and S vanishing where Z is positive makes the dual 0
+    s = isotropic(1 / 3 + 1e-7)
+    assert -CFG.positivity_tol < min_product_expectation(s, CFG).value < 0
+    runs = []
+    kernel = witness._seesaw
+
+    def counting(*args):
+        runs.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(witness, "_seesaw", counting)
+    result = lambda_max_subtraction(s, identity_over_nine(), 2, CFG)
+    assert (result.lambda0, result.formula_sup_inv) == (0.0, 0.0)
+    assert len(runs) <= 8
 
 
 def test_subtraction_rejects_directions_negative_on_the_class():
@@ -826,40 +859,34 @@ def rank_one_dip(dims, seed):
 
 PENCILS = {
     "criterion-8": lambda: (isotropic(1 / 8), identity_over_nine(), 3),
-    "identity": lambda: (isotropic(1 / 8), isotropic(1 / 8), 3),
     "psd-3x3": lambda: (isotropic(1 / 8), random_psd(D33, 69), 3),
     "psd-3x4": lambda: (rank_one_dip(Dims(3, 4), 70), random_psd(Dims(3, 4), 71), 3),
-    "negative-on-kernel": negative_on_the_kernel,
 }
 
 
 @pytest.mark.parametrize("name", PENCILS)
 def test_pencil_kernel_matches_the_per_restart_reference(name):
+    # Dinkelbach's iteration on the plain see-saw against the per-restart
+    # pencil see-saw: the smallest S/Z, clamped at 0, and 1 / the largest Z/S
     s, z, k = PENCILS[name]()
     config = OptimizerConfig(seed=8, restarts=32)
     s4, z4 = s.as_tensor(), z.as_tensor()
-    starts = witness._starts(config, s.dims, s.dims.dA * (k - 1))
-    run = (k - 1, starts)
-    ratios, *_, negative = witness._seesaw(s4, *run, q4=z4)
-    best, flag = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
-    assert abs(np.nanmin(ratios) - best) < 1e-9
-    assert negative.any() == flag
-    # the largest Z/S is the smallest -Z/S
-    sup = -np.nanmin(witness._seesaw(-z4, *run, q4=s4)[0])
-    best, _ = _pencil_seesaw(z4, s4, k - 1, config, largest=True)
-    assert abs(sup - best) < 1e-9
+    result = lambda_max_subtraction(s, z, k, config)
+    best = _pencil_seesaw(s4, z4, k - 1, config, largest=False)
+    assert abs(result.lambda0 - max(best, 0.0)) < 1e-8
+    best = _pencil_seesaw(z4, s4, k - 1, config, largest=True)
+    assert abs(result.formula_sup_inv - 1 / best) < 1e-8
 
 
 @pytest.mark.parametrize("dims, k", [((3, 3), 1), ((3, 3), 2), ((3, 4), 2), ((4, 4), 3), ((4, 5), 3)])
 def test_identity_pencil_is_the_plain_kernel(dims, k):
+    # the smallest ratio over the identity is the plain level minimum
     s = random_unit_hermitian(Dims(*dims), seed=(72, k))
-    s4 = s.as_tensor()
-    identity = np.eye(s.dims.total).reshape(s4.shape)
-    starts = witness._starts(CFG, s.dims, dims[0] * k)
-    plain = witness._seesaw(s4, k, starts)
-    pencil = witness._seesaw(s4, k, starts, q4=identity)
-    assert np.abs(plain[0] - pencil[0]).max() < 1e-10
-    assert not pencil[5].any()
+    identity = Operator(s.dims, np.eye(s.dims.total))
+    psi = np.zeros(s.dims.total, dtype=complex)
+    psi[0] = 1.0
+    ratio = witness._ratio_min(s, identity, k, CFG, psi)
+    assert abs(ratio - min_product_expectation(s, CFG, k).value) < 1e-9
 
 
 # ---------------------------------------------------------------------------
