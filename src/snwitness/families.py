@@ -13,6 +13,7 @@ from .witness import (
     POSITIVE,
     OptimizerConfig,
     WitnessClassification,
+    _is_int,
     _level_minimum,
     _transposed_extremes,
     classify_schmidt_witness,
@@ -121,7 +122,7 @@ def threshold_scan(
     """
     if d < 2:
         raise ParameterError(f"local dimension must be >= 2, got {d}")
-    if max_k is not None and not 1 <= max_k <= d:
+    if max_k is not None and (not _is_int(max_k) or not 1 <= max_k <= d):
         raise ParameterError(f"max_k must be in [1, {d}], got {max_k}")
     if not bisect_tol > 0:
         raise ParameterError(f"bisect_tol must be > 0, got {bisect_tol}")

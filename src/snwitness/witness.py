@@ -47,6 +47,11 @@ DETECTION_TOL = 1e-9  # detects: Tr(W rho) < -DETECTION_TOL, rho PSD to within i
 FINER_TOL = 1e-9  # finer_certificate accepts Z whose smallest eigenvalue is >= -FINER_TOL
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, False for bools and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Seeded optimizer settings shared by all restart-based searches."""
@@ -56,11 +61,11 @@ class OptimizerConfig:
     positivity_tol: float = 1e-7
 
     def __post_init__(self):
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        seed, restarts = self.seed, self.restarts
+        if not _is_int(seed) or seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-        if self.restarts < 1:
-            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
+        if not _is_int(restarts) or restarts < 1:
+            raise ParameterError(f"restarts must be an integer >= 1, got {restarts!r}")
         tol = self.positivity_tol
         if not 0 <= tol < np.inf:
             raise ParameterError(f"positivity_tol must be finite and >= 0, got {tol}")
@@ -89,28 +94,30 @@ class SeesawRun(NamedTuple):
     converged: np.ndarray
     history: list
 
+    def state(self, r: int) -> np.ndarray:
+        """Restart r's unit state sum_s A[:,s] (x) B[:,s], flattened: A B^T."""
+        return (self.a[r] @ self.b[r].T).ravel()
+
 
 @dataclass(frozen=True)
 class ProductMinResult:
-    """Best product-state minimum found by the see-saw ``run``, with its minimizers.
-
-    For k > 1 the factors are not both unit vectors (see
-    ``min_product_expectation``); ``lowered()`` is the unit minimizer.
-    """
+    """Minimum of <psi|W|psi> over unit psi of Schmidt rank <= k (product
+    states for k = 1): its ``value``, a unit ``minimizer`` on W's own dims
+    (None for a certified bound), whether the search ``converged``, and its
+    ``source``: "spectrum" (exact), "bound" (a lower bound at or above
+    -positivity_tol) or "seesaw" (the best restart of ``run``, an upper
+    bound).  ``run`` is None for the first two sources."""
 
     value: float
-    arg_a: PureState
-    arg_b: PureState
+    minimizer: PureState | None
     converged: bool
-    trace: tuple[float, ...]
-    run: SeesawRun = field(repr=False, compare=False)
+    source: str
+    run: SeesawRun | None = field(default=None, repr=False, compare=False)
 
-    def lowered(self) -> PureState:
-        """The minimizer with its ancillas contracted: sum_s A[:,s] (x) B[:,s]."""
-        da, db = self.arg_a.dims, self.arg_b.dims
-        a = self.arg_a.amplitudes.reshape(da.dA, da.kA)
-        b = self.arg_b.amplitudes.reshape(db.dB, db.kB)
-        return PureState(Dims(da.dA, db.dB), (a @ b.T).ravel())
+    @property
+    def trace(self) -> tuple[float, ...]:
+        """Every restart's final value in the see-saw ``run``."""
+        return tuple(float(v) for v in self.run.values)
 
 
 @dataclass(frozen=True)
@@ -253,29 +260,21 @@ def min_product_expectation(
     so lifted operators work too.  With 1 < k <= min(dA, dB), W must carry
     no ancillas and the minimum runs over unit states of Schmidt rank <= k:
     the minimum of <L|lift(W)|L> / <L|lift(I)|L> over product states L of
-    the lifted space, found without building the lift.  The factors
-    ``arg_a`` and ``arg_b`` then live on the ancilla-extended factors:
-    ``arg_a`` has unit norm and ``arg_b`` orthonormal columns (norm sqrt(k)),
-    so ``lowered()`` is the unit minimizer A B^T.
+    the lifted space, found without building the lift.  The minimizer is
+    the best restart's unit state A B^T on W's dims.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    if not _is_int(k) or k < 1:
+        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     if k > 1 and not w.dims.unextended:
         raise DimensionError("rank-k minimization expects an operator without ancillas")
     limit = min(w.dims.dA, w.dims.dB)
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
-    dims = w.dims.with_ancillas(k) if k > 1 else w.dims
-    starts = _starts(config, w.dims, dims.a_dim)
-    run = _seesaw(w.as_tensor(), k, starts)
+    run = _seesaw(w.as_tensor(), k, _starts(config, w.dims, w.dims.a_dim * k))
     best = int(np.argmin(run.values))
+    minimizer = PureState(w.dims, run.state(best))
     return ProductMinResult(
-        value=float(run.values[best]),
-        arg_a=PureState(dims.a_factor(), run.a[best].ravel()),
-        arg_b=PureState(dims.b_factor(), run.b[best].ravel()),
-        converged=bool(run.converged[best]),
-        trace=tuple(float(v) for v in run.values),
-        run=run,
+        float(run.values[best]), minimizer, bool(run.converged[best]), "seesaw", run
     )
 
 
@@ -291,19 +290,6 @@ def is_entanglement_witness(w: Operator, config: OptimizerConfig) -> WitnessChec
         product_min=product_min,
         detected=eigvec if verdict else None,
     )
-
-
-class LevelMinimum(NamedTuple):
-    """One Schmidt level of S: the ``value`` of the minimum of <psi|S|psi>
-    over unit psi of Schmidt rank <= level, a unit ``minimizer`` (None for a
-    certified bound), whether the search ``converged``, and its ``source``:
-    "spectrum" (exact), "bound" (a lower bound at or above -positivity_tol)
-    or "seesaw" (the best restart, an upper bound)."""
-
-    value: float
-    minimizer: PureState | None
-    converged: bool
-    source: str
 
 
 def _transposed_extremes(s: Operator) -> tuple[float, float]:
@@ -333,7 +319,7 @@ def _rounding(s: Operator, evals) -> float:
 
 def _level_minimum(
     s: Operator, level: int, config: OptimizerConfig, eigenpair=None, extremes=None
-) -> LevelMinimum:
+) -> ProductMinResult:
     """Minimum of <psi|S|psi> over psi of Schmidt rank <= level, for S
     without ancillas.
 
@@ -342,17 +328,15 @@ def _level_minimum(
     when the caller already has it) and no see-saw runs.  Below it, a level
     whose partial-transpose bound (from ``extremes`` when the caller already
     has them) is at least -positivity_tol cannot detect, so that bound is
-    the answer; otherwise the rank-level see-saw gives the unit minimizer
-    A B^T.
+    the answer; otherwise it is the rank-level see-saw minimum.
     """
     if level >= min(s.dims.dA, s.dims.dB):
         value, vector = min_eigenpair(s) if eigenpair is None else eigenpair
-        return LevelMinimum(value, vector, True, "spectrum")
+        return ProductMinResult(value, vector, True, "spectrum")
     bound = _level_bound(s, level, _transposed_extremes(s) if extremes is None else extremes)
     if bound >= -config.positivity_tol:
-        return LevelMinimum(bound, None, True, "bound")
-    result = min_product_expectation(s, config, k=level)
-    return LevelMinimum(result.value, result.lowered(), result.converged, "seesaw")
+        return ProductMinResult(bound, None, True, "bound")
+    return min_product_expectation(s, config, k=level)
 
 
 def classify_schmidt_witness(
@@ -363,10 +347,10 @@ def classify_schmidt_witness(
     Minima over Schmidt rank <= level (the product minima of the lifted
     operator) are scanned level by level; the witness order k is the first
     level whose minimum drops below -positivity_tol.  The detected state is
-    the normalized contraction of that level's minimizer, a state of Schmidt
-    rank <= k with a negative expectation value.  Level min(dA, dB) is read
-    from the spectrum: its value is the smallest eigenvalue and its detected
-    state the eigenvector, so the ladder never runs the see-saw there.  Nor
+    that level's minimizer, normalized: a state of Schmidt rank <= k with a
+    negative expectation value.  Level min(dA, dB) is read from the
+    spectrum: its value is the smallest eigenvalue and its detected state
+    the eigenvector, so the ladder never runs the see-saw there.  Nor
     does it below that level where the partial-transpose bound, from one
     eigensolve of S^Gamma, certifies the level (see ``_level_minimum``).
     """
@@ -375,7 +359,7 @@ def classify_schmidt_witness(
     limit = min(s.dims.dA, s.dims.dB)
     if max_k is None:
         max_k = limit
-    if max_k < 1 or max_k > limit:
+    if not _is_int(max_k) or not 1 <= max_k <= limit:
         raise ParameterError(f"max_k must be in [1, {limit}], got {max_k}")
     eigenpair = min_eigenpair(s)
     min_eig = eigenpair[0]
@@ -464,9 +448,9 @@ def _ratio_min(p: Operator, q: Operator, level: int, config: OptimizerConfig, ps
     found by Dinkelbach's iteration from the unit state ``psi``: with r the
     ratio at psi, the see-saw minimizes P - r Q (from fresh ``_starts``, then
     from the last run's A factors) and its best A B^T is the next psi, until
-    that minimum is >= -1e-12 max(1, |r|) or r stops falling.  A <P> within
-    rounding of 0 reads as 0; where <Q> is not above rounding, the ratio is
-    -inf if <P> < 0, else 0."""
+    that minimum is >= -CONVERGENCE_TOL max(1, |r|), the see-saw's own
+    tolerance, or r stops falling.  A <P> within rounding of 0 reads as 0;
+    where <Q> is not above rounding, the ratio is -inf if <P> < 0, else 0."""
     tau_p, tau_q = (_rounding(op, np.linalg.eigvalsh(op.matrix)) for op in (p, q))
 
     def ratio(psi) -> float:
@@ -480,10 +464,10 @@ def _ratio_min(p: Operator, q: Operator, level: int, config: OptimizerConfig, ps
     while r > -np.inf:
         run = _seesaw(p.as_tensor() - r * q.as_tensor(), level, starts)
         best = int(np.argmin(run.values))
-        if run.values[best] >= -1e-12 * max(1.0, abs(r)):
+        if run.values[best] >= -CONVERGENCE_TOL * max(1.0, abs(r)):
             break
         starts = run.a
-        following = ratio((run.a[best] @ run.b[best].T).ravel())
+        following = ratio(run.state(best))
         if not following < r:
             break
         r = following
@@ -535,10 +519,9 @@ def lambda_max_subtraction(
         raise PreconditionError(
             f"Z vanishes on Schmidt rank <= {k - 1}: its maximum there is {-z_max.value:g}"
         )
-    lambda0 = max(_ratio_min(s, z, k - 1, config, z_max.lowered().amplitudes), 0.0)
-    psi_s = minima[0].minimizer  # S's see-saw minimizer, unless its bound certified
-    if psi_s is None:
-        psi_s = min_product_expectation(s, config, k - 1).lowered()
+    lambda0 = max(_ratio_min(s, z, k - 1, config, z_max.minimizer.amplitudes), 0.0)
+    # S's see-saw minimizer, unless its bound certified the level
+    psi_s = minima[0].minimizer or min_product_expectation(s, config, k - 1).minimizer
     inverse = _ratio_min(minus_z, s, k - 1, config, psi_s.amplitudes)
     formula_sup_inv = -1.0 / inverse if inverse < 0 else np.inf
 
@@ -564,7 +547,7 @@ def optimality_certificate(
     near_zero = np.abs(run.values) <= ZERO_TOL
     if not near_zero.any():
         return 0, False
-    zeros = np.einsum("ri,rj->rij", run.a[near_zero, :, 0], run.b[near_zero, :, 0])
-    singular = np.linalg.svd(zeros.reshape(-1, w.dims.total), compute_uv=False)
+    zeros = np.array([run.state(r) for r in np.flatnonzero(near_zero)])
+    singular = np.linalg.svd(zeros, compute_uv=False)
     span_dim = int(np.sum(singular > singular[0] * 1e-8))
     return span_dim, span_dim == w.dims.total

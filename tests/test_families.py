@@ -284,7 +284,7 @@ def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
     level_minimum = families._level_minimum
 
     def unconverged(s, level, config, **kwargs):
-        return level_minimum(s, level, config, **kwargs)._replace(converged=False)
+        return dataclasses.replace(level_minimum(s, level, config, **kwargs), converged=False)
 
     monkeypatch.setattr(families, "_level_minimum", unconverged)
     (row,) = threshold_scan([0.05], d=3, config=FAST).rows

@@ -17,6 +17,7 @@ from snwitness import (
     OptimizerConfig,
     ParameterError,
     PreconditionError,
+    ProductMinResult,
     PureState,
     classify_schmidt_witness,
     detects,
@@ -105,7 +106,7 @@ def test_product_min_of_isotropic_family():
 def test_product_min_value_matches_its_minimizer():
     w = random_hermitian(Dims(2, 3), seed=60)
     result = min_product_expectation(w, CFG)
-    assert abs(result.value - expectation(w, result.lowered())) < 1e-9
+    assert abs(result.value - expectation(w, result.minimizer)) < 1e-9
 
 
 def test_product_min_dominates_smallest_eigenvalue():
@@ -190,12 +191,11 @@ def test_rank_k_kernel_matches_lifted_seesaw(problem):
     assert abs(result.value - value) < 1e-9
     assert np.abs(np.array(result.trace) - trace).max() < 1e-9
     assert result.converged == converged
-    d = s.dims
-    a = result.arg_a.amplitudes.reshape(d.dA, k)
-    b = result.arg_b.amplitudes.reshape(d.dB, k)
-    psi = PureState(d, (a @ b.T).ravel())
+    best = int(np.argmin(result.run.values))
+    a, b = result.run.a[best], result.run.b[best]
+    psi = PureState(s.dims, (a @ b.T).ravel())
     assert abs(result.value - expectation(s, psi)) < 1e-9
-    assert np.abs(result.lowered().amplitudes - psi.amplitudes).max() == 0.0
+    assert np.abs(result.minimizer.amplitudes - psi.amplitudes).max() == 0.0
 
 
 @st.composite
@@ -334,7 +334,7 @@ def test_isotropic_levels_match_the_closed_form(d):
     for level, value in enumerate(levels[:-1], start=1):
         assert abs(value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-9
         result = min_product_expectation(s, config, k=level)
-        state = result.lowered()
+        state = result.minimizer
         assert abs(state.norm() - 1) < 1e-12
         assert schmidt_rank(state) <= level
         assert abs(expectation(s, state) - result.value) < 1e-12
@@ -376,6 +376,27 @@ def test_config_validation():
         with pytest.raises(ParameterError):
             OptimizerConfig(seed=bad)
     assert OptimizerConfig(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("bad", [2.5, True, None, "8"])
+def test_restarts_must_be_an_integer(bad):
+    # 2.5 used to fail later with a bare TypeError, and True ran one restart
+    with pytest.raises(ParameterError, match="restarts must be an integer"):
+        OptimizerConfig(restarts=bad)
+    assert OptimizerConfig(restarts=np.int64(3)).restarts == 3
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_rank_k_minimization_needs_an_integer_k(bad):
+    with pytest.raises(ParameterError, match="k must be an integer"):
+        min_product_expectation(isotropic(1 / 8), CFG, k=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_classify_needs_an_integer_max_k(bad):
+    with pytest.raises(ParameterError, match="max_k must be in"):
+        classify_schmidt_witness(isotropic(1 / 8), bad, CFG)
+    assert classify_schmidt_witness(isotropic(1 / 8), np.int64(2), CFG).k is None
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +1007,36 @@ def test_optimality_certificate_reuses_the_witness_check_run(monkeypatch):
     assert runs == [1]
 
 
+def test_product_min_trace_is_its_run_values():
+    # perfbench's tracer reads ``trace`` on every min_product_expectation call
+    result = min_product_expectation(random_unit_hermitian(D33, seed=75), CFG)
+    assert result.trace == tuple(result.run.values)
+    assert len(result.trace) == CFG.restarts
+    assert result.source == "seesaw"
+    assert "run" not in repr(result)
+
+
+def test_level_minimum_returns_one_record_from_each_branch():
+    # level 3 of a 3x3 operator is its spectrum, level 2 of iso(1/8) is
+    # certified by the bound, and level 2 of c I - |phi><phi| with squared
+    # Schmidt coefficients (0.5, 0.3, 0.2) and c = 0.7 is 0.7 - 0.8, below
+    # a bound of -0.24, so the see-saw finds it
+    phi = np.diag(np.sqrt([0.5, 0.3, 0.2])).ravel()
+    dip = Operator(D33, 0.7 * np.eye(9) - np.outer(phi, phi))
+    for s, level, source in [(isotropic(1 / 8), 3, "spectrum"),
+                             (isotropic(1 / 8), 2, "bound"), (dip, 2, "seesaw")]:
+        found = witness._level_minimum(s, level, CFG)
+        assert isinstance(found, ProductMinResult)
+        assert (found.source, found.converged) == (source, True)
+        assert (found.run is None) == (source != "seesaw")
+        assert (found.minimizer is None) == (source == "bound")
+    assert abs(found.value + 0.1) < 1e-8
+    direct = min_product_expectation(dip, CFG, k=2)
+    assert found.value == direct.value
+    assert found.minimizer.amplitudes.tobytes() == direct.minimizer.amplitudes.tobytes()
+    assert found.minimizer.dims == D33 and abs(found.minimizer.norm() - 1) < 1e-12
+
+
 @pytest.mark.parametrize("dims, k", [((3, 3), 1), ((3, 4), 2), ((4, 4), 3)])
 def test_product_min_is_the_best_row_of_its_kernel_run(dims, k):
     s = random_unit_hermitian(Dims(*dims), seed=(74, k))
@@ -993,8 +1044,7 @@ def test_product_min_is_the_best_row_of_its_kernel_run(dims, k):
     run = witness._seesaw(s.as_tensor(), k, witness._starts(CFG, s.dims, dims[0] * k))
     best = int(np.argmin(run.values))
     assert result.value == run.values[best]
-    assert result.arg_a.amplitudes.tobytes() == run.a[best].ravel().tobytes()
-    assert result.arg_b.amplitudes.tobytes() == run.b[best].ravel().tobytes()
+    assert result.minimizer.amplitudes.tobytes() == run.state(best).tobytes()
     assert result.converged == run.converged[best]
     assert result.run.values.tobytes() == run.values.tobytes()
     assert "run" not in repr(result)
