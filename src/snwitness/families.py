@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SnWitnessError
-from .hilbert import Dims, Operator, PureState
+from .hilbert import Dims, Operator, PureState, min_eigenpair
 from .witness import (
     POSITIVE,
     OptimizerConfig,
@@ -135,10 +135,12 @@ def threshold_scan(
             product_min = dict(cls.per_level_product_min)
             converged = cls.converged
             missing = [level for level in SCAN_LEVELS if level not in product_min]
-            # one S^Gamma spectrum for the row's fill-ins below full rank
+            # one lowest eigenpair for the row's fill-ins, and one S^Gamma
+            # spectrum for those below full rank
+            eigenpair = min_eigenpair(s) if missing else None
             extremes = _transposed_extremes(s) if any(level < d for level in missing) else None
             for level in missing:
-                fill = _level_minimum(s, level, config, extremes=extremes)
+                fill = _level_minimum(s, level, config, eigenpair=eigenpair, extremes=extremes)
                 product_min[level] = fill.value
                 converged = converged and fill.converged
             rows.append(

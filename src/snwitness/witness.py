@@ -15,6 +15,9 @@ count as evidence and is validated against brute force at small dimensions
 (see ``checks``).  The partial transpose gives a lower bound on every
 Schmidt level (``_level_bound``); a level that bound puts at or above
 -positivity_tol is certified without the optimizer, and reports the bound.
+Below -positivity_tol the lowest eigenvector cut to the level's Schmidt rank
+gives an upper bound; where it meets the lower bound up to rounding, the
+level is solved exactly, again without the optimizer.
 """
 
 from __future__ import annotations
@@ -105,8 +108,9 @@ class ProductMinResult:
     states for k = 1): its ``value``, a unit ``minimizer`` on W's own dims
     (None for a certified bound), whether the search ``converged``, and its
     ``source``: "spectrum" (exact), "bound" (a lower bound at or above
-    -positivity_tol) or "seesaw" (the best restart of ``run``, an upper
-    bound).  ``run`` is None for the first two sources."""
+    -positivity_tol), "exact" (a state whose value meets the lower bound up
+    to rounding) or "seesaw" (the best restart of ``run``, an upper bound).
+    ``run`` is None for all sources but "seesaw"."""
 
     value: float
     minimizer: PureState | None
@@ -141,7 +145,9 @@ class WitnessClassification:
     is not a valid witness of any Schmidt class.  Level l holds the minimum
     of <psi|S|psi> over unit states of Schmidt rank <= l: below min(dA, dB)
     the partial-transpose lower bound where that bound is at least -tol,
-    else the rank-l see-saw minimum; level min(dA, dB) holds
+    else the value of a state that meets that bound up to rounding (the
+    lowest eigenvector cut to l Schmidt terms) where there is one, else the
+    rank-l see-saw minimum; level min(dA, dB) holds
     ``min_eigenvalue``, since every state has Schmidt rank at most
     min(dA, dB).  The levels are non-increasing in l only where every level
     comes from one source: a bound can sit below a later see-saw level.  A
@@ -328,14 +334,25 @@ def _level_minimum(
     when the caller already has it) and no see-saw runs.  Below it, a level
     whose partial-transpose bound (from ``extremes`` when the caller already
     has them) is at least -positivity_tol cannot detect, so that bound is
-    the answer; otherwise it is the rank-level see-saw minimum.
+    the answer.  Otherwise the lowest eigenvector, cut to its top ``level``
+    Schmidt terms and normalized, is a state psi of Schmidt rank <= level:
+    bound <= minimum <= <psi|S|psi>, so where <psi|S|psi> is below
+    -positivity_tol and within 4 rounding of the bound it is the answer,
+    with source "exact".  Otherwise it is the rank-level see-saw minimum.
     """
     if level >= min(s.dims.dA, s.dims.dB):
         value, vector = min_eigenpair(s) if eigenpair is None else eigenpair
         return ProductMinResult(value, vector, True, "spectrum")
-    bound = _level_bound(s, level, _transposed_extremes(s) if extremes is None else extremes)
+    extremes = _transposed_extremes(s) if extremes is None else extremes
+    bound = _level_bound(s, level, extremes)
     if bound >= -config.positivity_tol:
         return ProductMinResult(bound, None, True, "bound")
+    vector = (min_eigenpair(s) if eigenpair is None else eigenpair)[1]
+    u, sigma, vh = np.linalg.svd(vector.amplitudes.reshape(s.dims.dA, s.dims.dB))
+    psi = ((u[:, :level] * sigma[:level]) @ vh[:level]).ravel() / np.linalg.norm(sigma[:level])
+    value = float(np.vdot(psi, s.matrix @ psi).real)
+    if value < -config.positivity_tol and value - bound <= 4 * _rounding(s, extremes):
+        return ProductMinResult(value, PureState(s.dims, psi), True, "exact")
     return min_product_expectation(s, config, k=level)
 
 
@@ -352,7 +369,8 @@ def classify_schmidt_witness(
     spectrum: its value is the smallest eigenvalue and its detected state
     the eigenvector, so the ladder never runs the see-saw there.  Nor
     does it below that level where the partial-transpose bound, from one
-    eigensolve of S^Gamma, certifies the level (see ``_level_minimum``).
+    eigensolve of S^Gamma, certifies the level, or where the truncated
+    eigenvector meets that bound (see ``_level_minimum``).
     """
     if not s.dims.unextended:
         raise DimensionError("classification expects an operator without ancillas")
@@ -493,8 +511,10 @@ def lambda_max_subtraction(
     computed first by ``_level_minimum`` (level k = min(dA, dB) is Z's
     smallest eigenvalue), and a value below -positivity_tol raises
     PreconditionError, as does a Z whose maximum over Schmidt rank <= k-1 is
-    within rounding of 0.  Needs 2 <= k <= min(dA, dB).
+    within rounding of 0.  Needs an integer 2 <= k <= min(dA, dB).
     """
+    if not _is_int(k):
+        raise ParameterError(f"k must be an integer, got {k!r}")
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if s.dims != z.dims:

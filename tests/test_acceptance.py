@@ -316,13 +316,13 @@ def construction_counts(monkeypatch, argv):
     return counts
 
 
-def test_golden_scan_draws_each_start_once(monkeypatch, tmp_path):
-    # one stream per restart for all three rows, both levels and every
-    # bisection step; the bisection endpoints are read from the rows.  The
-    # see-saw runs only where the partial-transpose bound is below -tol: the
-    # 2-SW row's level 2 and the bisection steps on its side of a = 1/6
+def test_golden_scan_draws_no_start(monkeypatch, tmp_path):
+    # every level of the three rows and of the bisection steps is the
+    # spectrum, the partial-transpose bound, or (the 2-SW row's level 2 and
+    # the steps on its side of a = 1/6) the truncated lowest eigenvector
+    # meeting that bound, so no start is drawn and no see-saw runs
     argv = GOLDEN_COMMANDS["scan_thresholds.json"] + ["--output", str(tmp_path / "scan.json")]
-    assert construction_counts(monkeypatch, argv) == {"generators": 64, "product_min": 4}
+    assert construction_counts(monkeypatch, argv) == {"generators": 0, "product_min": 0}
 
 
 def test_classify_ladder_draws_each_start_once(monkeypatch, tmp_path):

@@ -285,17 +285,26 @@ def test_partial_transpose_bound_is_below_the_seesaw(problem):
     for level in range(1, min(s.dims.dA, s.dims.dB)):
         bound = witness._level_bound(s, level, extremes)
         found = witness._level_minimum(s, level, config, extremes=extremes)
-        assert found.source == ("bound" if bound >= -tol else "seesaw")
+        assert (found.source == "bound") == (bound >= -tol)
         if found.source == "seesaw":
             seesaw = found.value
         else:
-            assert (found.value, found.minimizer, found.converged) == (bound, None, True)
             seesaw = min_product_expectation(s, config, k=level).value
+        if found.source == "bound":
+            assert (found.value, found.minimizer, found.converged) == (bound, None, True)
             assert seesaw >= -tol
+        if found.source == "exact":
+            # the truncated eigenvector: a unit state of Schmidt rank <= level
+            # whose value is negative and meets the bound
+            assert bound <= found.value <= seesaw + 1e-12
+            assert found.value < -tol and found.converged
+            assert abs(found.minimizer.norm() - 1) < 1e-12
+            assert schmidt_rank(found.minimizer) <= level
+            assert abs(expectation(s, found.minimizer) - found.value) < 1e-12
         assert bound <= seesaw + 1e-12
 
 
-@pytest.mark.parametrize("margin, source, k", [(0.5, "bound", 3), (2.0, "seesaw", 2)])
+@pytest.mark.parametrize("margin, source, k", [(0.5, "bound", 3), (2.0, "exact", 2)])
 def test_the_bound_decides_a_level_only_down_to_minus_tol(margin, source, k):
     # level 2 of iso(a) at d = 3 is exactly (1/9 - 2a/3)/(1 - a); put it at
     # -margin * tol, just above or just below -tol
@@ -318,6 +327,32 @@ def test_isotropic_ladder_at_large_d_runs_no_seesaw(monkeypatch, d):
     assert (cls.verdict, cls.k, cls.converged) == (SCHMIDT_WITNESS, d, True)
     for level, value in cls.per_level_product_min.items():
         assert abs(value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_isotropic_detecting_levels_are_exact(monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the see-saw ran")
+
+    monkeypatch.setattr(witness, "_seesaw", refuse)
+    config = OptimizerConfig(restarts=8)
+    for k in range(1, d):
+        # level l is (1/d^2 - a l/d)/(1 - a), negative from l = k on for
+        # 1/(k d) < a < 1/((k - 1) d)
+        a = (1 / (k * d) + (1 / ((k - 1) * d) if k > 1 else 1)) / 2
+        s = isotropic(a, d=d)
+        cls = classify_schmidt_witness(s, config=config)
+        assert (cls.verdict, cls.k, cls.converged) == (SCHMIDT_WITNESS, k, True)
+        for level, value in cls.per_level_product_min.items():
+            assert abs(value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-12
+        for level in range(k, d):
+            found = witness._level_minimum(s, level, config)
+            assert (found.source, found.converged) == ("exact", True)
+            assert abs(found.value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-12
+            assert abs(found.minimizer.norm() - 1) < 1e-12
+            assert schmidt_rank(found.minimizer) == level
+        assert abs(cls.detected_state.norm() - 1) < 1e-12
+        assert schmidt_rank(cls.detected_state) == k
 
 
 @pytest.mark.parametrize("d", range(3, 9))
@@ -506,11 +541,22 @@ def test_the_kernel_never_runs_at_the_full_rank_level(monkeypatch):
     detected = expectation(s, cls.detected_state)
     assert abs(detected - cls.min_eigenvalue) < 1e-12
     levels.clear()
-    # positive, 2-SW and 1-SW rows; level 2 is filled in where the ladder stopped
+    # the same dip at c = 0.75 is a 2-SW: the ladder stops after the see-saw
+    # at level 2, and a fill-in at level 4 reads the spectrum
+    s = Operator(Dims(4, 4), 0.75 * np.eye(16) - np.outer(phi, phi.conj()))
+    cls = classify_schmidt_witness(s, config=OptimizerConfig(restarts=8))
+    assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, 2)
+    assert abs(cls.per_level_product_min[2] + 0.05) < 1e-8
+    full = witness._level_minimum(s, 4, OptimizerConfig(restarts=8))
+    assert (full.source, full.value) == ("spectrum", cls.min_eigenvalue)
+    assert levels == [2]
+    levels.clear()
+    # positive, 2-SW and 1-SW rows; level 2 is filled in where the ladder
+    # stopped, and the 1-SW row's level 1 is exact, so no see-saw runs
     scan = threshold_scan([0.1, 0.3, 0.6], d=2, config=OptimizerConfig(restarts=8))
     assert [row.verdict for row in scan.rows] == [POSITIVE, "2-SW", "1-SW"]
     assert all(row.product_min[2] == row.min_eigenvalue for row in scan.rows)
-    assert set(levels) == {1}
+    assert levels == []
 
 
 def test_classify_respects_max_k():
@@ -851,6 +897,14 @@ def test_subtraction_rejects_a_direction_without_support():
         lambda_max_subtraction(isotropic(1 / 8), zero, 3, CFG)
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_subtraction_needs_an_integer_k(bad):
+    # 2.5 used to be refused for the level k - 1 = 1.5 it reached, and True
+    # as a k below 2
+    with pytest.raises(ParameterError, match=f"k must be an integer, got {bad!r}"):
+        lambda_max_subtraction(isotropic(1 / 8), identity_over_nine(), bad, CFG)
+
+
 def test_subtraction_validates_k():
     # 2 <= k <= min(dA, dB), checked before the level minima of S and Z
     s, z = isotropic(1 / 8), identity_over_nine()
@@ -1018,13 +1072,14 @@ def test_product_min_trace_is_its_run_values():
 
 def test_level_minimum_returns_one_record_from_each_branch():
     # level 3 of a 3x3 operator is its spectrum, level 2 of iso(1/8) is
-    # certified by the bound, and level 2 of c I - |phi><phi| with squared
-    # Schmidt coefficients (0.5, 0.3, 0.2) and c = 0.7 is 0.7 - 0.8, below
-    # a bound of -0.24, so the see-saw finds it
+    # certified by the bound, level 2 of iso(0.2) is the truncated lowest
+    # eigenvector meeting that bound, and level 2 of c I - |phi><phi| with
+    # squared Schmidt coefficients (0.5, 0.3, 0.2) and c = 0.7 is 0.7 - 0.8,
+    # far above a bound of -0.24, so the see-saw finds it
     phi = np.diag(np.sqrt([0.5, 0.3, 0.2])).ravel()
     dip = Operator(D33, 0.7 * np.eye(9) - np.outer(phi, phi))
-    for s, level, source in [(isotropic(1 / 8), 3, "spectrum"),
-                             (isotropic(1 / 8), 2, "bound"), (dip, 2, "seesaw")]:
+    for s, level, source in [(isotropic(1 / 8), 3, "spectrum"), (isotropic(1 / 8), 2, "bound"),
+                             (isotropic(0.2), 2, "exact"), (dip, 2, "seesaw")]:
         found = witness._level_minimum(s, level, CFG)
         assert isinstance(found, ProductMinResult)
         assert (found.source, found.converged) == (source, True)
