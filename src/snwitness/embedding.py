@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionError, ParameterError
-from .hilbert import Dims, Operator, PureState, _schmidt_terms
+from .hilbert import Dims, Operator, PureState, _is_int, _schmidt_terms
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class LiftedOperator:
 
 
 def _ancilla_dim(k) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ParameterError(f"ancilla dimension k must be a positive integer, got {k!r}")
     return int(k)
 
@@ -123,6 +123,7 @@ def _lift_operators(dims: Dims, matrices: np.ndarray, k) -> np.ndarray:
 def lower_state(psi: PureState, k: int) -> PureState:
     """Map any pure state of the enlarged space back: sum_s psi[a,s,b,s].
     One row of ``_lower_states``."""
+    k = _ancilla_dim(k)
     d = psi.dims
     if d.kA != k or d.kB != k:
         raise DimensionError(
@@ -147,6 +148,7 @@ def lower_operator(op: Operator, k: int) -> Operator:
     For a weighted sum of projectors this equals ``lower_ensemble`` of the
     ensemble; no eigendecomposition is involved, so any operator lowers.
     """
+    k = _ancilla_dim(k)
     d = op.dims
     if d.kA != k or d.kB != k:
         raise DimensionError(
@@ -202,6 +204,7 @@ def lower_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
 
     All members are lowered by one batched contraction sum_s psi_n[a,s,b,s].
     """
+    k = _ancilla_dim(k)
     dims = _check_ensemble(ensemble)
     if dims.kA != k or dims.kB != k:
         raise DimensionError(

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SnWitnessError
-from .hilbert import Dims, Operator, PureState, min_eigenpair
+from .hilbert import Dims, Operator, PureState, _is_int
 from .witness import (
     POSITIVE,
     OptimizerConfig,
     WitnessClassification,
-    _is_int,
     _level_minimum,
     _transposed_extremes,
     classify_schmidt_witness,
@@ -135,12 +134,10 @@ def threshold_scan(
             product_min = dict(cls.per_level_product_min)
             converged = cls.converged
             missing = [level for level in SCAN_LEVELS if level not in product_min]
-            # one lowest eigenpair for the row's fill-ins, and one S^Gamma
-            # spectrum for those below full rank
-            eigenpair = min_eigenpair(s) if missing else None
+            # one S^Gamma spectrum for the row's fill-ins below full rank
             extremes = _transposed_extremes(s) if any(level < d for level in missing) else None
             for level in missing:
-                fill = _level_minimum(s, level, config, eigenpair=eigenpair, extremes=extremes)
+                fill = _level_minimum(s, level, config, extremes=extremes)
                 product_min[level] = fill.value
                 converged = converged and fill.converged
             rows.append(

@@ -24,6 +24,11 @@ HERMITICITY_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, False for bools and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Dims:
     """Local dimensions dA, dB plus ancilla dimensions kA, kB (1 = absent)."""
@@ -36,7 +41,7 @@ class Dims:
     def __post_init__(self):
         for name in ("dA", "dB", "kA", "kB"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_int(value):
                 raise DimensionError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise DimensionError(f"{name} must be >= 1, got {value}")

@@ -22,7 +22,6 @@ level is solved exactly, again without the optimizer.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,10 +29,10 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, PreconditionError
 from .hilbert import (
-    Dims,
     Operator,
     PureState,
     _conditional,
+    _is_int,
     min_eigenpair,
     normalize,
     partial_transpose,
@@ -48,11 +47,6 @@ CONVERGENCE_TOL = 1e-10  # a restart stops once its A half-step gains less than 
 ZERO_TOL = 1e-6  # optimality_certificate keeps product states with |value| <= ZERO_TOL
 DETECTION_TOL = 1e-9  # detects: Tr(W rho) < -DETECTION_TOL, rho PSD to within it
 FINER_TOL = 1e-9  # finer_certificate accepts Z whose smallest eigenvalue is >= -FINER_TOL
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, False for bools and everything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -183,24 +177,13 @@ class FinerCertificate:
     evidence: tuple[tuple[float, float], ...] = field(repr=False, default=())
 
 
-@functools.lru_cache(maxsize=8)  # one key per seed, restart count and length
-def _draws(seed: int, restarts: int, length: int) -> np.ndarray:
-    """Read-only (restarts, length): row r holds the first ``length`` normals
-    of ``default_rng((seed, r))``, kept for the process's next calls."""
-    rngs = (np.random.default_rng((seed, r)) for r in range(restarts))
-    raw = np.array([rng.normal(size=length) for rng in rngs])
-    raw.flags.writeable = False
-    return raw
-
-
-def _starts(config: OptimizerConfig, dims: Dims, n: int) -> np.ndarray:
-    """One seeded random unit start per restart: n normals of its stream as real
-    parts, the next n as imaginary parts.  Draws are sequential, so every n
-    shares one stream, drawn to the longest start an operator of ``dims`` needs
-    (rank min(dA, dB) without ancillas; with them only k = 1 runs)."""
-    rank = min(dims.a_dim, dims.b_dim) if dims.unextended else 1
-    raw = _draws(config.seed, config.restarts, 2 * dims.a_dim * rank)
-    vecs = raw[:, :n] + 1j * raw[:, n : 2 * n]
+def _starts(config: OptimizerConfig, n: int) -> np.ndarray:
+    """One seeded random unit start per restart: restart r draws 2n normals
+    from ``default_rng((seed, r))``, the first n as real parts and the next
+    n as imaginary parts."""
+    rngs = (np.random.default_rng((config.seed, r)) for r in range(config.restarts))
+    raw = np.array([rng.normal(size=2 * n) for rng in rngs])
+    vecs = raw[:, :n] + 1j * raw[:, n:]
     return vecs / np.sqrt(np.sum(vecs.real**2 + vecs.imag**2, axis=1))[:, None]
 
 
@@ -209,9 +192,10 @@ def _seesaw(s4: np.ndarray, k: int, starts) -> SeesawRun:
 
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
     with A (dA x k) and B (dB x k), from one start A per row of ``starts``
-    (fresh ``_starts``, or the ``a`` of an earlier run to warm-start);
-    needs k <= min(dA, dB).  Each half-step solves one factor exactly with
-    the other fixed, by one stacked ``eigh`` over the restarts still active.
+    (a fresh ``_starts`` draw, or the ``a`` of an earlier run to
+    warm-start), which it copies and never writes; needs k <= min(dA, dB).
+    Each half-step solves one factor exactly with the other fixed, by one
+    stacked ``eigh`` over the restarts still active.
     For k > 1 the fixed factor is first replaced by the Q of its QR
     decomposition: that keeps psi, and with orthonormal columns
     ||psi|| = ||free factor||_F, so the unit eigenvector is the exact
@@ -276,7 +260,7 @@ def min_product_expectation(
     limit = min(w.dims.dA, w.dims.dB)
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
-    run = _seesaw(w.as_tensor(), k, _starts(config, w.dims, w.dims.a_dim * k))
+    run = _seesaw(w.as_tensor(), k, _starts(config, w.dims.a_dim * k))
     best = int(np.argmin(run.values))
     minimizer = PureState(w.dims, run.state(best))
     return ProductMinResult(
@@ -477,7 +461,7 @@ def _ratio_min(p: Operator, q: Operator, level: int, config: OptimizerConfig, ps
             return 0.0 if abs(num) <= tau_p else num / den
         return -np.inf if num < -tau_p else 0.0
 
-    starts = _starts(config, p.dims, p.dims.dA * level)
+    starts = _starts(config, p.dims.dA * level)
     r = ratio(psi)
     while r > -np.inf:
         run = _seesaw(p.as_tensor() - r * q.as_tensor(), level, starts)

@@ -7,8 +7,8 @@ counting instead of Schmidt forms, a per-restart see-saw on the pencil
 (one generalized eigenproblem per half-step) instead of Dinkelbach's
 iteration on the batched see-saw kernel, one trial at a time through the
 single-object maps instead of the stacked suites of ``snwitness.checks``,
-a per-term phase loop instead of the stacked Schmidt kernel, one generator
-per restart instead of the cached start draws.  ``random_unit_hermitian``
+a per-term phase loop instead of the stacked Schmidt kernel, two draws of
+n normals per restart instead of one draw of 2n.  ``random_unit_hermitian``
 (a Hermitian operator of unit Frobenius norm) and ``starts_by_restart``
 (the see-saw's start vectors) are the shared input generators.
 """

@@ -296,8 +296,7 @@ def test_criterion_10_determinism_against_golden(tmp_path, name):
 
 
 def construction_counts(monkeypatch, argv):
-    """Random generators built and product minimizations run by one CLI call
-    from an empty start-draw cache."""
+    """Random generators built and product minimizations run by one CLI call."""
     counts = {"generators": 0, "product_min": 0}
     real_rng, real_min = np.random.default_rng, witness.min_product_expectation
 
@@ -311,7 +310,6 @@ def construction_counts(monkeypatch, argv):
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     monkeypatch.setattr(witness, "min_product_expectation", min_product_expectation)
-    witness._draws.cache_clear()
     assert main(argv) == 0
     return counts
 
@@ -325,7 +323,7 @@ def test_golden_scan_draws_no_start(monkeypatch, tmp_path):
     assert construction_counts(monkeypatch, argv) == {"generators": 0, "product_min": 0}
 
 
-def test_classify_ladder_draws_each_start_once(monkeypatch, tmp_path):
+def test_classify_ladder_draws_no_start(monkeypatch, tmp_path):
     # a 5-SW member: the partial-transpose bound certifies levels 1..4 and
     # level 5 is the spectrum, so no start is drawn and no see-saw runs
     argv = ["classify", "--family", "isotropic", "--dim", "5", "--a", "0.045",

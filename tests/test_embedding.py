@@ -394,6 +394,17 @@ def test_lower_operator_is_linear_on_indefinite_operators():
         lower_operator(random_hermitian(D33, seed=61), 2)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, np.float64(2.0)], ids=["True", "2.0", "float64"])
+def test_lowering_maps_need_an_integer_k(k):
+    # each input carries int(k) ancillas, so only the type of k is wrong
+    dims = D33.with_ancillas(int(k))
+    psi = random_pure_state(dims, rank=2, seed=62)
+    op = Operator(dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    for lower, arg in ((lower_state, psi), (lower_operator, op), (lower_ensemble, [(1.0, psi)])):
+        with pytest.raises(ParameterError, match="positive integer"):
+            lower(arg, k)
+
+
 def test_ensemble_weight_validation():
     psi = random_pure_state(D33, rank=1, seed=55)
     with pytest.raises(ParameterError):

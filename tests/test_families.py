@@ -8,6 +8,7 @@ import pytest
 
 import snwitness.cli as cli
 import snwitness.families as families
+import snwitness.hilbert as hilbert
 import snwitness.witness as witness
 from snwitness import (
     Dims,
@@ -323,6 +324,42 @@ def test_scan_computes_one_transposed_spectrum_per_row(monkeypatch, a_values, sp
     calls = count_transposed_spectra(monkeypatch)
     threshold_scan(a_values, d=3, config=OptimizerConfig(seed=7, restarts=64))
     assert len(calls) == spectra
+
+
+def count_lowest_eigenpairs(monkeypatch):
+    """The list of operators whose lowest eigenpair the scan computes, in
+    whichever package module calls ``min_eigenpair``."""
+    calls = []
+    original = hilbert.min_eigenpair
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "snwitness" and getattr(module, "min_eigenpair", None) is original:
+            monkeypatch.setattr(module, "min_eigenpair", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a, eigenpairs",
+    [
+        # a positive row: both fill-ins are certified by the bound, so the
+        # classification's eigenpair is the only one
+        (0.05, 1),
+        # 3-SW and 2-SW rows: the ladder lists levels 1 and 2, no fill-in
+        (0.125, 1),
+        (0.2, 1),
+        # a 1-SW row: the level-2 fill-in is the truncated eigenvector, and
+        # the classification does not hand its eigenpair back
+        (0.4, 2),
+    ],
+)
+def test_scan_computes_a_lowest_eigenpair_only_where_it_is_used(monkeypatch, a, eigenpairs):
+    calls = count_lowest_eigenpairs(monkeypatch)
+    threshold_scan([a], d=3, config=OptimizerConfig(seed=7, restarts=64))
+    assert len(calls) == eigenpairs
 
 
 def test_scan_csv_level_columns_follow_scan_levels(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for product-state minimization, classification and refinement."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -985,7 +986,7 @@ def test_starts_are_the_per_restart_draws_at_every_length(name):
         reference = starts_by_restart(OptimizerConfig(seed=300, restarts=16), n)
         for restarts in START_RESTARTS[:3]:
             config = OptimizerConfig(seed=300, restarts=restarts)
-            got = witness._starts(config, dims, n)
+            got = witness._starts(config, n)
             assert got.tobytes() == reference[:restarts].tobytes(), (n, restarts)
 
 
@@ -996,35 +997,41 @@ def test_starts_are_the_per_restart_draws_at_every_seed():
         dims, restarts = combos[seed % len(combos)]
         n = 1 + seed % longest_start(dims)
         config = OptimizerConfig(seed=seed, restarts=restarts)
-        got = witness._starts(config, dims, n)
+        got = witness._starts(config, n)
         assert got.tobytes() == starts_by_restart(config, n).tobytes(), (seed, n)
 
 
-def test_start_draws_are_cached_read_only_and_the_seesaw_leaves_them():
-    s = random_unit_hermitian(Dims(3, 4), seed=73)
+@pytest.mark.parametrize("name", START_DIMS)
+def test_starts_draw_2n_normals_per_restart_and_nothing_writes_them(name, monkeypatch):
+    # the longest start of each dims: rank min(dA, dB) without ancillas, k = 1
+    # on the lifted 3x3 at k = 3
+    dims = START_DIMS[name]
+    n = longest_start(dims)
+    k = n // dims.a_dim
     config = OptimizerConfig(seed=5, restarts=8)
-    witness._draws.cache_clear()
-    starts = witness._starts(config, s.dims, 6)
-    raw = witness._draws(5, 8, 18)
-    assert witness._draws.cache_info().hits == 1 and not raw.flags.writeable
-    with pytest.raises(ValueError):
-        raw[0, 0] = 0.0
-    before, starts_before = raw.copy(), starts.copy()
-    witness._seesaw(s.as_tensor(), 2, starts)
-    min_product_expectation(s, config, k=2)
-    assert raw.tobytes() == before.tobytes()
-    assert starts.tobytes() == starts_before.tobytes()
+    calls = []
+    real_rng = np.random.default_rng
 
+    def default_rng(seed):
+        rng = real_rng(seed)
+        calls.append([seed])
 
-def test_start_draws_for_a_lifted_operator_are_one_column_long():
-    # the lifted 3x3 at k = 3 minimizes at k = 1 only: 2 * a_dim = 18 normals,
-    # not 2 * a_dim * min(a_dim, b_dim) = 162
-    lifted = lift_operator(isotropic(0.2), 3).operator
-    assert lifted.dims.a_dim == 9
-    witness._draws.cache_clear()
-    min_product_expectation(lifted, OptimizerConfig(seed=5, restarts=4))
-    witness._draws(5, 4, 18)
-    assert witness._draws.cache_info()[:2] == (1, 1)  # (hits, misses): one key
+        def normal(size):
+            calls[-1].append(size)
+            return rng.normal(size=size)
+
+        return SimpleNamespace(normal=normal)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    starts = witness._starts(config, n)
+    monkeypatch.undo()
+    assert calls == [[(5, r), 2 * n] for r in range(8)]
+    s = random_unit_hermitian(dims, seed=73)
+    before = starts.copy()
+    witness._seesaw(s.as_tensor(), k, starts)
+    monkeypatch.setattr(witness, "_starts", lambda config, n: starts)
+    min_product_expectation(s, config, k=k)
+    assert starts.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +1103,7 @@ def test_level_minimum_returns_one_record_from_each_branch():
 def test_product_min_is_the_best_row_of_its_kernel_run(dims, k):
     s = random_unit_hermitian(Dims(*dims), seed=(74, k))
     result = min_product_expectation(s, CFG, k=k)
-    run = witness._seesaw(s.as_tensor(), k, witness._starts(CFG, s.dims, dims[0] * k))
+    run = witness._seesaw(s.as_tensor(), k, witness._starts(CFG, dims[0] * k))
     best = int(np.argmin(run.values))
     assert result.value == run.values[best]
     assert result.minimizer.amplitudes.tobytes() == run.state(best).tobytes()
