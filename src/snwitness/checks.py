@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedding import _lift_operators, _lift_states, _lower_states
+from .embedding import _lift_operator, _lift_states, _lower_states
 from .errors import ParameterError
 from .families import _random_hermitians, random_hermitian
 from .hilbert import Dims, Operator, _random_pure_states
@@ -117,10 +117,10 @@ def _lifted_sandwich(dims: Dims, s: np.ndarray, k: int, u, w) -> np.ndarray:
     time.  A lifted operator has (d k)^4 entries, far more than anything else
     a suite holds; a stack of them raised the peak RSS of the commands run
     after the suites in the same process."""
-    rows = [slice(r, r + 1) for r in range(len(s))]
-    return np.concatenate(
-        [_sandwich(_lift_operators(dims, s[r], k), u[r], w[r]) for r in rows]
-    )
+    return np.concatenate([
+        _sandwich(_lift_operator(dims, s_r, k)[None], u_r[None], w_r[None])
+        for s_r, u_r, w_r in zip(s, u, w)
+    ])
 
 
 def suite_identities(trials: int, seed: int, d: int) -> dict:

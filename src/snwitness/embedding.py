@@ -95,43 +95,43 @@ def _lift_states(dims: Dims, amplitudes: np.ndarray, k) -> tuple[np.ndarray, np.
 
 
 def lift_operator(source: Operator, k: int) -> LiftedOperator:
-    """Lift an operator to the enlarged space: sum_{s,t} S (x) |ss><tt|.
-    One row of ``_lift_operators``."""
-    matrix = _lift_operators(source.dims, source.matrix[None], k)[0]
-    dims = source.dims.with_ancillas(k)
+    """Lift an operator to the enlarged space: sum_{s,t} S (x) |ss><tt|, one
+    copy of S wherever the row ancillas agree and the column ancillas agree."""
+    matrix = _lift_operator(source.dims, source.matrix, k)
     # copies of the validated S: finite, and exactly as Hermitian as S
-    return LiftedOperator(Operator._unchecked(dims, matrix))
+    return LiftedOperator(Operator._unchecked(source.dims.with_ancillas(k), matrix))
 
 
-def _lift_operators(dims: Dims, matrices: np.ndarray, k) -> np.ndarray:
-    """Lifted matrices (r, N, N) of a stack of operators (r, dims.total,
-    dims.total): one copy of S wherever the row ancillas agree and the column
-    ancillas agree."""
+def _lift_operator(dims: Dims, matrix: np.ndarray, k) -> np.ndarray:
+    """The lifted (N, N) matrix of an operator matrix (dims.total, dims.total)."""
     k = _ancilla_dim(k)
     if not dims.unextended:
         raise DimensionError("lift_operator expects an operator without ancillas")
-    r = len(matrices)
-    s4 = matrices.reshape(r, dims.dA, dims.dB, dims.dA, dims.dB)
-    big = np.zeros((r,) + (dims.dA, k, dims.dB, k) * 2, dtype=np.complex128)
+    s4 = matrix.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+    big = np.zeros((dims.dA, k, dims.dB, k) * 2, dtype=np.complex128)
     for s in range(k):
         for t in range(k):
-            big[:, :, s, :, s, :, t, :, t] = s4
+            big[:, s, :, s, :, t, :, t] = s4
     n = dims.with_ancillas(k).total
-    return big.reshape(r, n, n)
+    return big.reshape(n, n)
+
+
+def _lowered_dims(d: Dims, k, what: str) -> Dims:
+    """The dims ``d`` without their ancillas, which must both be k; ``what``
+    names the input in the error."""
+    k = _ancilla_dim(k)
+    if d.kA != k or d.kB != k:
+        raise DimensionError(f"{what} has ancilla dims ({d.kA}, {d.kB}), expected ({k}, {k})")
+    return Dims(d.dA, d.dB)
 
 
 def lower_state(psi: PureState, k: int) -> PureState:
     """Map any pure state of the enlarged space back: sum_s psi[a,s,b,s].
     One row of ``_lower_states``."""
-    k = _ancilla_dim(k)
-    d = psi.dims
-    if d.kA != k or d.kB != k:
-        raise DimensionError(
-            f"state has ancilla dims ({d.kA}, {d.kB}), expected ({k}, {k})"
-        )
+    small = _lowered_dims(psi.dims, k, "state")
     if psi.norm() == 0.0:
         raise DegenerateStateError("cannot lower the zero vector")
-    return PureState(Dims(d.dA, d.dB), _lower_states(d, psi.amplitudes[None])[0])
+    return PureState(small, _lower_states(psi.dims, psi.amplitudes[None])[0])
 
 
 def _lower_states(dims: Dims, amplitudes: np.ndarray) -> np.ndarray:
@@ -148,14 +148,9 @@ def lower_operator(op: Operator, k: int) -> Operator:
     For a weighted sum of projectors this equals ``lower_ensemble`` of the
     ensemble; no eigendecomposition is involved, so any operator lowers.
     """
-    k = _ancilla_dim(k)
     d = op.dims
-    if d.kA != k or d.kB != k:
-        raise DimensionError(
-            f"operator has ancilla dims ({d.kA}, {d.kB}), expected ({k}, {k})"
-        )
-    t8 = op.matrix.reshape(d.dA, k, d.dB, k, d.dA, k, d.dB, k)
-    small = Dims(d.dA, d.dB)
+    small = _lowered_dims(d, k, "operator")
+    t8 = op.matrix.reshape((d.dA, d.kA, d.dB, d.kB) * 2)
     out = np.einsum("asbsctdt->abcd", t8).reshape(small.total, small.total)
     return Operator(small, out)
 
@@ -178,14 +173,13 @@ def _projector_sum(ensemble, vectors: np.ndarray, dims: Dims) -> Operator:
     """sum_i w_i |v_i><v_i| = V^T diag(w) conj(V) over stacked rows v_i, as the
     Gram product X^T conj(X) of X = diag(sqrt w) V.  That is Hermitian up to
     the rounding of the product: exactly on some BLAS kernels, within a few
-    ulps of the largest entry on others (OpenBLAS at odd sizes)."""
+    ulps of the largest entry on others (OpenBLAS at odd sizes), which the
+    Operator check allows."""
     weights = np.array([weight for weight, _ in ensemble], dtype=np.float64)
     scaled = np.sqrt(weights)[:, None] * vectors
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # Operator rejects the overflow
         out = scaled.T @ scaled.conj()
-    if not np.isfinite(out).all():
-        raise ParameterError("ensemble projector sum has non-finite entries")
-    return Operator._unchecked(dims, out)
+    return Operator(dims, out)
 
 
 def lift_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
@@ -204,11 +198,7 @@ def lower_ensemble(ensemble: list[tuple[float, PureState]], k: int) -> Operator:
 
     All members are lowered by one batched contraction sum_s psi_n[a,s,b,s].
     """
-    k = _ancilla_dim(k)
     dims = _check_ensemble(ensemble)
-    if dims.kA != k or dims.kB != k:
-        raise DimensionError(
-            f"ensemble states have ancilla dims ({dims.kA}, {dims.kB}), expected {k}"
-        )
+    small = _lowered_dims(dims, k, "ensemble state")
     lowered = _lower_states(dims, np.stack([state.amplitudes for _, state in ensemble]))
-    return _projector_sum(ensemble, lowered, Dims(dims.dA, dims.dB))
+    return _projector_sum(ensemble, lowered, small)

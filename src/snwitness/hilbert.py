@@ -94,6 +94,10 @@ def _as_readonly(values, shape, what) -> np.ndarray:
         raise DimensionError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
         raise ParameterError(f"{what} has non-finite entries")
+    # the sum bounds every eigenvalue, trace, squared norm and unit-state expectation
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.vdot(arr, arr).real):
+            raise ParameterError(f"{what} is too large: its squared moduli overflow a float")
     arr.setflags(write=False)
     return arr
 
@@ -116,11 +120,6 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def as_tensor(self) -> np.ndarray:
-        """View of the amplitudes reshaped to (dA, kA, dB, kB)."""
-        d = self.dims
-        return self.amplitudes.reshape(d.dA, d.kA, d.dB, d.kB)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -142,7 +141,9 @@ class Operator:
     def _unchecked(cls, dims: Dims, matrix: np.ndarray) -> "Operator":
         """Wrap a complex (n, n) matrix that is finite and within
         HERMITICITY_TOL of Hermitian by construction from validated inputs:
-        no copy and no checks, only the read-only flag."""
+        no copy and no checks, only the read-only flag.  Only
+        ``embedding.lift_operator`` uses it: copying and checking the lifted
+        matrix there fails ``test_lift_report_memory_does_not_grow_with_its_text``."""
         matrix.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "dims", dims)

@@ -517,7 +517,7 @@ def lambda_max_subtraction(
                 f"non-negative on Schmidt rank <= {level}"
             )
 
-    minus_z = Operator._unchecked(z.dims, -z.matrix)
+    minus_z = Operator(z.dims, -z.matrix)
     z_max = min_product_expectation(minus_z, config, k - 1)
     if -z_max.value <= _rounding(z, np.linalg.eigvalsh(z.matrix)):
         raise PreconditionError(

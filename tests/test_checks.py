@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import SUITES_BY_TRIAL
-from snwitness import checks
+from snwitness import Dims, ParameterError, checks, random_hermitian
 
 
 def plain(value):
@@ -65,3 +65,8 @@ def test_suites_match_the_per_trial_reference(suite, d):
     assert report["trials"] == len(report["perTrial"]) == len(reference)
     assert report["maxError"] == max(report["perTrial"])
     assert np.abs(np.subtract(report["perTrial"], reference)).max() < 1e-12
+
+
+def test_grid_oracle_needs_a_two_dimensional_a_factor():
+    with pytest.raises(ParameterError, match="two-dimensional A factor"):
+        checks.grid_product_min(random_hermitian(Dims(3, 2), seed=3))

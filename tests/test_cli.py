@@ -141,8 +141,8 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
 @pytest.mark.parametrize(
     "dims",
     [{"dA": 2.7, "dB": 2}, {"dA": "2", "dB": 2}, {"dA": True, "dB": 2},
-     {"dA": 2, "dB": 2, "kA": 1.5}, {"dA": 2.0, "dB": 2}, {"dB": 2}],
-    ids=["fraction", "string", "bool", "ancilla-fraction", "float", "missing"],
+     {"dA": 2, "dB": 2, "kA": 1.5}, {"dA": 2.0, "dB": 2}, {"dB": 2}, [2, 2]],
+    ids=["fraction", "string", "bool", "ancilla-fraction", "float", "missing", "not-an-object"],
 )
 def test_non_integer_dims_exit_2(tmp_path, capsys, dims):
     # int() once truncated these to a valid Dims and the command exited 0
@@ -183,6 +183,63 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, bad):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert field in lines[0]  # rejected while reading the numbers
+
+
+REJECTED_INPUTS = {
+    "missing-file": ["classify", "--input", "{missing}"],
+    "top-level-array": ["classify", "--input", "{array}"],
+    "unknown-family": ["classify", "--family", "foo", "--a", "0.2"],
+    "family-without-a": ["classify", "--family", "isotropic"],
+    "lift-neither-field": ["lift", "--input", "{neither}", "--k", "2"],
+    "lower-neither-field": ["lower", "--input", "{neither}", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_INPUTS))
+def test_rejected_inputs_exit_2_with_one_error_line(tmp_path, capsys, name):
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "array": write_json(tmp_path / "array.json", [1, 2]),
+        "neither": write_json(tmp_path / "neither.json", {"dims": {"dA": 2, "dB": 2}}),
+    }
+    assert run_cli(*[arg.format(**paths) for arg in REJECTED_INPUTS[name]]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and captured.out == ""
+
+
+def overflowing_files(tmp_path):
+    """Finite entries whose squared moduli overflow: without the scale check
+    each command wrote an infinite figure and exited 0."""
+    m2 = np.eye(4)
+    m2[0, 3] = m2[3, 0] = 0.9  # |00><11| + |11><00|
+    m2 *= -1.7e308
+    amps = np.zeros(9, dtype=complex)
+    amps[[0, 4]] = 1e200  # |00> and |11>
+    return {
+        "m2": write_matrix(tmp_path / "m2.json", Dims(2, 2), m2),
+        "m3": write_matrix(tmp_path / "m3.json", Dims(3, 3), 0.7e308 * np.eye(9)),
+        "s3": write_json(tmp_path / "s3.json", {"dims": {"dA": 3, "dB": 3}, "amplitudes": amps}),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["classify", "--restarts", "4", "--input", "{m2}"], "matrix"),  # minEigenvalue -inf
+        (["lift", "--k", "2", "--input", "{m2}"], "matrix"),  # trace -inf
+        (["lower", "--k", "1", "--input", "{m3}"], "matrix"),  # trace inf
+        (["lift", "--k", "2", "--input", "{s3}"], "amplitudes"),  # normSquared inf
+    ],
+    ids=["classify", "lift-operator", "lower-operator", "lift-state"],
+)
+def test_overflowing_input_files_exit_2(tmp_path, capsys, argv, field):
+    argv = [arg.format(**overflowing_files(tmp_path)) for arg in argv]
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--output", str(out)) == 2
+    message = f"{field} is too large: its squared moduli overflow a float"
+    assert capsys.readouterr().err == f"error: ParameterError: {message}\n"
+    assert not out.exists()
 
 
 def test_state_file_numbers_read_back_bit_for_bit(tmp_path):
@@ -459,6 +516,9 @@ def test_verify_unknown_suite():
         ["--suite", "roundtrip", "--trials", "0"],
         ["--suite", "oracle", "--trials", "1", "--tol", "-1"],
         ["--suite", "roundtrip", "--trials", "2", "--restarts", "-5"],
+        # dims the oracle cannot read or run
+        ["--suite", "oracle", "--dims", "2by3", "--trials", "1"],
+        ["--suite", "oracle", "--dims", "3x2", "--trials", "1", "--restarts", "2"],
     ],
 )
 def test_verify_rejects_vacuous_or_ignored_arguments(capsys, argv):
@@ -495,6 +555,11 @@ REPORTS = {
 }
 
 
+def refuse_constant(name):
+    """``parse_constant`` for reports: Infinity and NaN are not JSON."""
+    raise ValueError(f"report holds {name}")
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_reports_roundtrip_through_json(tmp_path, capsys, name):
     """Every report is exactly the text json.dumps(report, indent=2) writes,
@@ -511,7 +576,7 @@ def test_reports_roundtrip_through_json(tmp_path, capsys, name):
     argv = [arg.format(**paths) for arg in REPORTS[name]]
     assert run_cli(*argv, "--output", str(out)) == 0
     text = out.read_text()
-    report = json.loads(text)
+    report = json.loads(text, parse_constant=refuse_constant)
     assert json.dumps(report, indent=2) + "\n" == text
     capsys.readouterr()
     assert run_cli(*argv) == 0

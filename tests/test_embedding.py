@@ -27,7 +27,7 @@ from snwitness import (
     schmidt_rank,
     trace_pair,
 )
-from snwitness.embedding import _lift_operators, _lift_states, _lower_states, _projector_sum
+from snwitness.embedding import _lift_operator, _lift_states, _lower_states, _projector_sum
 from snwitness.families import _random_hermitians
 from snwitness.hilbert import (
     HERMITICITY_TOL,
@@ -434,6 +434,43 @@ def test_overflowing_ensembles_are_rejected():
         lower_ensemble([(1e20, big)], 2)
 
 
+def test_lowering_maps_name_the_ancilla_mismatch():
+    psi = random_pure_state(D33.with_ancillas(2), rank=2, seed=62)
+    op = Operator(psi.dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    for lower, arg, what in (
+        (lower_state, psi, "state"),
+        (lower_operator, op, "operator"),
+        (lower_ensemble, [(1.0, psi)], "ensemble state"),
+    ):
+        message = rf"^{what} has ancilla dims \(2, 2\), expected \(3, 3\)$"
+        with pytest.raises(DimensionError, match=message):
+            lower(arg, 3)
+
+
+REJECTED = {
+    "lift-state-zero": (
+        lambda: lift_state(PureState(D33, np.zeros(9)), 2), DegenerateStateError, "zero vector"),
+    "lift-operator-with-ancillas": (
+        lambda: lift_operator(random_hermitian(D33.with_ancillas(2), seed=67), 2),
+        DimensionError, "without ancillas"),
+    "lift-ensemble-mixed-dims": (
+        lambda: lift_ensemble([(0.5, random_pure_state(D33, 2, seed=68)),
+                               (0.5, random_pure_state(Dims(3, 2), 2, seed=69))], 2),
+        DimensionError, "same dims"),
+    "lift-ensemble-zero-member": (
+        lambda: lift_ensemble([(0.5, random_pure_state(D33, 2, seed=68)),
+                               (0.5, PureState(D33, np.zeros(9)))], 2),
+        DegenerateStateError, "nonzero"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_arguments_raise_their_error(name):
+    call, error, message = REJECTED[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_operators_built_without_validation_are_read_only_finite_and_hermitian():
     near = random_hermitian(D33, seed=63).matrix.copy()
     near[0, 1] += 3e-11j  # within HERMITICITY_TOL, so accepted as Hermitian
@@ -586,9 +623,9 @@ def test_operator_and_lowering_kernels_are_the_public_maps_row_by_row(d_a, d_b):
     operators = [random_hermitian(dims, seed=s) for s in seeds]
     assert all(np.array_equal(m, op.matrix) for m, op in zip(matrices, operators))
     for k in (1, 2, 3):
-        lifted = _lift_operators(dims, matrices, k)
-        for row, op in zip(lifted, operators):
-            assert np.array_equal(row, lift_operator(op, k).operator.matrix)
+        for matrix, op in zip(matrices, operators):
+            lifted = _lift_operator(dims, matrix, k)
+            assert np.array_equal(lifted, lift_operator(op, k).operator.matrix)
 
         big = dims.with_ancillas(k)
         ranks, seeds = every_rank_stack(big, (82, d_a, d_b, k))

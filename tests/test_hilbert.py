@@ -9,13 +9,16 @@ from snwitness import (
     Dims,
     NotHermitianError,
     Operator,
+    ParameterError,
     PureState,
     expectation,
     make_isotropic_witness,
     maximally_entangled_state,
     min_eigenpair,
+    normalize,
     partial_expectation,
     partial_transpose,
+    product_state,
     random_hermitian,
     random_pure_state,
     schmidt_decompose,
@@ -349,3 +352,57 @@ def test_operator_matrices_are_immutable():
     w = random_hermitian(Dims(2, 2), seed=24)
     with pytest.raises(ValueError):
         w.matrix[0, 0] = 1.0
+
+
+def test_entries_whose_squared_moduli_overflow_are_rejected():
+    # each entry is finite, the sum of their squared moduli is not: an
+    # eigenvalue, trace or squared norm of these would read inf
+    big = np.eye(4)
+    big[0, 3] = big[3, 0] = 0.9
+    big *= -1.7e308
+    with pytest.raises(ParameterError, match="matrix is too large"):
+        Operator(Dims(2, 2), big)
+    amps = np.zeros(9, dtype=complex)
+    amps[[0, 4]] = 1e200
+    with pytest.raises(ParameterError, match="amplitudes is too large"):
+        PureState(D33, amps)
+    # non-finite entries keep their own message
+    with pytest.raises(ParameterError, match="amplitudes has non-finite entries"):
+        PureState(D33, np.full(9, np.nan))
+    # the largest accepted scale: the squared moduli sum to just below the limit
+    edge = np.zeros(9, dtype=complex)
+    edge[0] = 1.3e154
+    assert PureState(D33, edge).norm() == 1.3e154
+
+
+REJECTED = {
+    "normalize-zero": (
+        lambda: normalize(PureState(D33, np.zeros(9))), DegenerateStateError, "zero vector"),
+    "product-of-non-factors": (
+        lambda: product_state(basis_state(D33, 0), basis_state(D33, 0)),
+        DimensionError, "A-side and a B-side factor"),
+    "partial-expectation-b-mismatch": (
+        lambda: partial_expectation(random_hermitian(Dims(2, 3), seed=9),
+                                    PureState(Dims(1, 2), np.array([1, 0])), side="B"),
+        DimensionError, "B-side factor"),
+    "partial-expectation-unknown-side": (
+        lambda: partial_expectation(random_hermitian(D33, seed=9),
+                                    PureState(Dims(3, 1), np.array([1, 0, 0])), side="C"),
+        ParameterError, "side must be 'A' or 'B'"),
+    "expectation-dims": (
+        lambda: expectation(random_hermitian(D33, seed=9), basis_state(Dims(3, 2), 0)),
+        DimensionError, "dims mismatch"),
+    "trace-pair-dims": (
+        lambda: trace_pair(random_hermitian(D33, seed=9), random_hermitian(Dims(3, 2), seed=9)),
+        DimensionError, "dims mismatch"),
+    "partial-transpose-unknown-side": (
+        lambda: partial_transpose(random_hermitian(D33, seed=9), side="C"),
+        ParameterError, "side must be 'A' or 'B'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_arguments_raise_their_error(name):
+    call, error, message = REJECTED[name]
+    with pytest.raises(error, match=message):
+        call()

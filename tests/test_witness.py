@@ -435,6 +435,34 @@ def test_classify_needs_an_integer_max_k(bad):
     assert classify_schmidt_witness(isotropic(1 / 8), np.int64(2), CFG).k is None
 
 
+OTHER_DIMS = Operator(Dims(3, 2), np.eye(6) / 6)
+REJECTED = {
+    "classify-with-ancillas": (
+        lambda: classify_schmidt_witness(lift_operator(isotropic(0.2), 2).operator, None, CFG),
+        DimensionError, "without ancillas"),
+    "detects-dims": (lambda: detects(isotropic(0.2), OTHER_DIMS), DimensionError, "dims mismatch"),
+    "refine-dims": (
+        lambda: refine_by_subtraction(isotropic(0.2), OTHER_DIMS, 0.5),
+        DimensionError, "dims mismatch"),
+    "finer-dims": (
+        lambda: finer_certificate(isotropic(0.2), OTHER_DIMS), DimensionError, "dims mismatch"),
+    "subtraction-dims": (
+        lambda: lambda_max_subtraction(isotropic(0.2), OTHER_DIMS, 2, CFG),
+        DimensionError, "dims mismatch"),
+    "subtraction-with-ancillas": (
+        lambda: lambda_max_subtraction(*[lift_operator(isotropic(a), 2).operator
+                                         for a in (0.2, 0.0)], 2, CFG),
+        DimensionError, "without ancillas"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_arguments_raise_their_error(name):
+    call, error, message = REJECTED[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # witness verdicts
 
@@ -963,6 +991,29 @@ def test_identity_pencil_is_the_plain_kernel(dims, k):
     psi[0] = 1.0
     ratio = witness._ratio_min(s, identity, k, CFG, psi)
     assert abs(ratio - min_product_expectation(s, CFG, k).value) < 1e-9
+
+
+def test_ratio_min_stops_when_the_seesaw_state_does_not_lower_the_ratio(monkeypatch):
+    # the see-saw reports a negative minimum of P - r Q whose best state is
+    # psi itself, so the next ratio equals r: Dinkelbach's iteration makes
+    # no progress and must stop after that one run
+    p = random_unit_hermitian(D33, seed=73)
+    q = Operator(D33, np.eye(9))
+    psi = np.zeros(9, dtype=complex)
+    psi[0] = 1.0
+    calls = []
+
+    def stuck(s4, k, starts):
+        if calls:
+            raise AssertionError("_ratio_min ran the see-saw again without progress")
+        calls.append(k)
+        a = np.zeros((1, 3, 1), dtype=complex)
+        a[0, 0, 0] = 1.0
+        return witness.SeesawRun(np.array([-1.0]), a, a.copy(), np.array([True]), [])
+
+    monkeypatch.setattr(witness, "_seesaw", stuck)
+    assert witness._ratio_min(p, q, 1, CFG, psi) == expectation(p, PureState(D33, psi))
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
