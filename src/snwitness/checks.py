@@ -203,8 +203,8 @@ def suite_oracle(trials: int, seed: int, dims: Dims, config: OptimizerConfig) ->
     errors = []
     for t in range(trials):
         h = random_hermitian(dims, seed=(seed, 11, t))
-        found = min_product_expectation(h, config).value
         reference = grid_product_min(h)
+        found = min_product_expectation(h, config).value
         errors.append(float(abs(found - reference)))
     return _suite_report("oracle", errors, tolerance=1e-4)
 

@@ -345,51 +345,32 @@ def cmd_scan(args) -> int:
     return code
 
 
-def cmd_lift(args) -> int:
+def cmd_map(args) -> int:
+    """``lift`` or ``lower`` (``args.cmd``) of a state or operator file."""
     data = load_payload(args.input)
+    lift = args.cmd == "lift"
     if "amplitudes" in data:
-        state = state_from_json(data)
-        lifted = lift_state(state, args.k)
-        payload = state_to_json(lifted.state)
-        diagnostics = {
-            "kind": "state",
-            "sourceRank": lifted.source_rank,
-            "blockCount": lifted.block_count,
-            "normSquared": float(lifted.state.norm() ** 2),
-        }
+        source = state_from_json(data)
+        diagnostics = {"kind": "state"}
+        if lift:
+            lifted = lift_state(source, args.k)
+            state = lifted.state
+            diagnostics.update(sourceRank=lifted.source_rank, blockCount=lifted.block_count)
+        else:
+            state = lower_state(source, args.k)
+        payload = state_to_json(state)
+        diagnostics["normSquared"] = float(state.norm() ** 2)
     elif "matrix" in data:
-        operator = operator_from_json(data)
-        lifted_op = lift_operator(operator, args.k)
-        payload = operator_to_json(lifted_op.operator)
-        diagnostics = {
-            "kind": "operator",
-            "trace": lifted_op.operator.trace().real,
-        }
+        source = operator_from_json(data)
+        if lift:
+            operator = lift_operator(source, args.k).operator
+        else:
+            operator = lower_operator(source, args.k)
+        payload = operator_to_json(operator)
+        diagnostics = {"kind": "operator", "trace": operator.trace().real}
     else:
         raise CliInputError(f"{args.input}: missing field 'amplitudes' or 'matrix'")
-    report = build_report(
-        "lift", {"input": args.input, "k": args.k}, payload, diagnostics
-    )
-    _emit_report(report, args.output)
-    return EXIT_OK
-
-
-def cmd_lower(args) -> int:
-    data = load_payload(args.input)
-    if "amplitudes" in data:
-        state = state_from_json(data)
-        lowered = lower_state(state, args.k)
-        payload = state_to_json(lowered)
-        diagnostics = {"kind": "state", "normSquared": float(lowered.norm() ** 2)}
-    elif "matrix" in data:
-        lowered_op = lower_operator(operator_from_json(data), args.k)
-        payload = operator_to_json(lowered_op)
-        diagnostics = {"kind": "operator", "trace": lowered_op.trace().real}
-    else:
-        raise CliInputError(f"{args.input}: missing field 'amplitudes' or 'matrix'")
-    report = build_report(
-        "lower", {"input": args.input, "k": args.k}, payload, diagnostics
-    )
+    report = build_report(args.cmd, {"input": args.input, "k": args.k}, payload, diagnostics)
     _emit_report(report, args.output)
     return EXIT_OK
 
@@ -464,17 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("lift", help="lift a state or operator JSON file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True, help="ancilla dimension")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("lower", help="lower a state or operator JSON file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True, help="ancilla dimension")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_lower)
+    for name in ("lift", "lower"):
+        p = sub.add_parser(name, help=f"{name} a state or operator JSON file")
+        p.add_argument("--input", required=True)
+        p.add_argument("--k", type=int, required=True, help="ancilla dimension")
+        p.add_argument("--output", default=None)
+        p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("--suite", required=True)

@@ -322,10 +322,14 @@ def min_eigenpair(h: Operator) -> tuple[float, PureState]:
 
 
 def expectation(w: Operator, psi: PureState) -> float:
-    """Real expectation value <psi|W|psi>."""
+    """Real expectation value <psi|W|psi>.  A non-unit state enters squared,
+    so the value can overflow a float although both inputs are in scale."""
     if w.dims != psi.dims:
         raise DimensionError(f"dims mismatch: {w.dims} vs {psi.dims}")
-    return float(np.vdot(psi.amplitudes, w.matrix @ psi.amplitudes).real)
+    value = float(np.vdot(psi.amplitudes, w.matrix @ psi.amplitudes).real)
+    if not np.isfinite(value):
+        raise ParameterError("expectation value overflows a float")
+    return value
 
 
 def trace_pair(w: Operator, rho: Operator) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import SUITES_BY_TRIAL
-from snwitness import Dims, ParameterError, checks, random_hermitian
+from snwitness import Dims, OptimizerConfig, ParameterError, checks, random_hermitian
 
 
 def plain(value):
@@ -70,3 +70,11 @@ def test_suites_match_the_per_trial_reference(suite, d):
 def test_grid_oracle_needs_a_two_dimensional_a_factor():
     with pytest.raises(ParameterError, match="two-dimensional A factor"):
         checks.grid_product_min(random_hermitian(Dims(3, 2), seed=3))
+
+
+def test_oracle_suite_refuses_bad_dims_before_any_seesaw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(checks, "min_product_expectation", lambda *args: calls.append(args))
+    with pytest.raises(ParameterError, match="two-dimensional A factor"):
+        checks.suite_oracle(2, 0, Dims(3, 2), OptimizerConfig(restarts=4))
+    assert calls == []

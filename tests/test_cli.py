@@ -16,7 +16,11 @@ from snwitness import (
     Operator,
     PreconditionError,
     PureState,
+    __version__,
     lift_operator,
+    lift_state,
+    lower_operator,
+    lower_state,
     maximally_entangled_state,
     random_hermitian,
     random_pure_state,
@@ -406,6 +410,52 @@ def test_lift_operator_reports_trace(tmp_path):
     assert run_cli("lift", "--input", path, "--k", "2", "--output", str(out)) == 0
     report = read_report(out)
     assert abs(report["diagnostics"]["trace"] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("lift", "state"), ("lift", "operator"), ("lower", "state"), ("lower", "operator")],
+    ids=["lift-state", "lift-operator", "lower-state", "lower-operator"],
+)
+def test_lift_and_lower_reports_have_the_documented_layout(tmp_path, command, kind):
+    """A lift or lower report is the library map's result with the diagnostics
+    keys the README lists, in that order, written as indent-2 JSON."""
+    dims = Dims(3, 3) if command == "lift" else Dims(2, 2, 2, 2)
+    if kind == "state":
+        source = random_pure_state(dims, rank=2, seed=97)
+        if command == "lift":
+            lifted = lift_state(source, 2)
+            result = state_to_json(lifted.state)
+            diagnostics = {
+                "kind": "state",
+                "sourceRank": lifted.source_rank,
+                "blockCount": lifted.block_count,
+                "normSquared": float(lifted.state.norm() ** 2),
+            }
+        else:
+            lowered = lower_state(source, 2)
+            result = state_to_json(lowered)
+            diagnostics = {"kind": "state", "normSquared": float(lowered.norm() ** 2)}
+        path = write_json(tmp_path / "in.json", state_to_json(source))
+    else:
+        source = random_hermitian(dims, seed=98)
+        if command == "lift":
+            mapped = lift_operator(source, 2).operator
+        else:
+            mapped = lower_operator(source, 2)
+        result = operator_to_json(mapped)
+        diagnostics = {"kind": "operator", "trace": mapped.trace().real}
+        path = write_json(tmp_path / "in.json", operator_to_json(source))
+    expected = {
+        "command": command,
+        "inputs": {"input": path, "k": 2},
+        "result": result,
+        "diagnostics": diagnostics,
+        "version": __version__,
+    }
+    out = tmp_path / "report.json"
+    assert run_cli(command, "--input", path, "--k", "2", "--output", str(out)) == 0
+    assert out.read_text() == "".join(_render(expected)) + "\n"
 
 
 def test_lower_rejects_mismatched_ancillas(tmp_path):

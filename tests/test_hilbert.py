@@ -375,6 +375,17 @@ def test_entries_whose_squared_moduli_overflow_are_rejected():
     assert PureState(D33, edge).norm() == 1.3e154
 
 
+
+def test_expectation_that_overflows_a_float_is_rejected():
+    """Both inputs pass the scale rule, but a non-unit state enters squared."""
+    w = Operator(D33, 1e10 * np.eye(9))
+    amplitudes = np.zeros(9, dtype=complex)
+    amplitudes[4] = 1e100
+    assert expectation(w, PureState(D33, amplitudes)) == pytest.approx(1e210, rel=1e-15)
+    amplitudes[4] = 1e150
+    with pytest.raises(ParameterError, match="expectation value overflows a float"):
+        expectation(w, PureState(D33, amplitudes))
+
 REJECTED = {
     "normalize-zero": (
         lambda: normalize(PureState(D33, np.zeros(9))), DegenerateStateError, "zero vector"),
