@@ -2,8 +2,9 @@
 
 Every command is a pure function of its arguments, input files and seed;
 reports embed the seed so a published number can be reproduced from its own
-report.  Exit codes: 0 success, 2 input error (an output that cannot be
-written included), 3 numerical non-convergence.
+report.  Exit codes: 0 success, 2 input error (an input too large to
+allocate and an output that cannot be written included), 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -233,38 +234,21 @@ def _render_array(arr: np.ndarray, level: int):
     yield "\n" + _INDENT * level + "]"
 
 
-def _render(value, level: int = 0):
-    """The text of ``json.dumps(value, indent=2)`` as a stream of pieces,
-    with complex numpy arrays written as nested [re, im] lists; scalars go
-    through ``json.dumps``.  A scalar item is one piece with its separator
-    and key and a matrix is one piece per row, so the whole text is never
-    held at once."""
-    if isinstance(value, np.ndarray):
-        yield from _render_array(value, level)
-        return
-    if isinstance(value, dict):
-        items = [
-            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", item)
-            for key, item in value.items()
-        ]
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        items = [("", item) for item in value]
-        opening, closing = "[", "]"
-    else:
-        yield json.dumps(value)
-        return
-    if not items:
-        yield opening + closing
-        return
-    inner = "\n" + _INDENT * (level + 1)
-    separator = opening + inner
-    for key, item in items:
-        pieces = _render(item, level + 1)
-        yield separator + key + next(pieces)
-        yield from pieces
-        separator = "," + inner
-    yield "\n" + _INDENT * level + closing
+def _render(value):
+    """The text of ``json.dumps(value, indent=2)`` as the json module's
+    encoder streams it, with complex numpy arrays written as nested [re, im]
+    lists by ``_render_array``, so the whole text is never held at once.
+    The encoder hands each array to ``default`` and writes the returned None
+    as its very next chunk; that chunk is replaced by the array, indented as
+    the last line the encoder started."""
+    arrays, indent = [], ""
+    for chunk in json.JSONEncoder(indent=2, default=arrays.append).iterencode(value):
+        if arrays:
+            yield from _render_array(arrays.pop(), len(indent) // len(_INDENT))
+            continue
+        if "\n" in chunk:
+            indent = chunk.rpartition("\n")[2]
+        yield chunk
 
 
 def _emit_report(report: dict, output: str | None):
@@ -478,6 +462,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except SnWitnessError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: input too large to allocate: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -196,6 +196,11 @@ REJECTED_INPUTS = {
     "family-without-a": ["classify", "--family", "isotropic"],
     "lift-neither-field": ["lift", "--input", "{neither}", "--k", "2"],
     "lower-neither-field": ["lower", "--input", "{neither}", "--k", "2"],
+    # both need more than the 128 TiB user address space, so the allocation
+    # fails at once and touches no memory
+    "lift-too-large-to-allocate": ["lift", "--input", "{operator}", "--k", "1000"],
+    "oracle-too-large-to-allocate": ["verify", "--suite", "oracle", "--dims", "2x100000000",
+                                     "--trials", "1"],
 }
 
 
@@ -205,6 +210,9 @@ def test_rejected_inputs_exit_2_with_one_error_line(tmp_path, capsys, name):
         "missing": str(tmp_path / "missing.json"),
         "array": write_json(tmp_path / "array.json", [1, 2]),
         "neither": write_json(tmp_path / "neither.json", {"dims": {"dA": 2, "dB": 2}}),
+        "operator": write_json(
+            tmp_path / "operator.json", operator_to_json(random_hermitian(Dims(2, 2), seed=3))
+        ),
     }
     assert run_cli(*[arg.format(**paths) for arg in REJECTED_INPUTS[name]]) == 2
     captured = capsys.readouterr()
@@ -637,6 +645,8 @@ def test_reports_roundtrip_through_json(tmp_path, capsys, name):
         assert len(report["result"]["matrix"]) == 144
 
 
+_TWICE = np.arange(4).reshape(2, 2) * (0.5 - 1j)
+
 AWKWARD = {
     "negative-zero": -0.0,
     "subnormal": 5e-324,
@@ -650,6 +660,7 @@ AWKWARD = {
     "lifted-signed-zeros": lift_operator(Operator(Dims(2, 2), np.array(
         [[0.25, -0.0, 0, 0], [-0.0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
         dtype=complex)), 2).operator.matrix,
+    "adjacent-arrays": {"a": _TWICE, "b": [np.ones((1, 2)), np.array([1j])], "c": _TWICE},
     "containers": {"e": {}, "l": [], "t": (1, None, True), "s": "\u00e9\"", 3: False, None: [[]]},
 }
 
@@ -789,4 +800,23 @@ def test_lift_report_memory_does_not_grow_with_its_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
+
+
+def test_scan_report_memory_does_not_grow_with_its_text(tmp_path):
+    """A scan report is written as the encoder walks it: the text of 3,000
+    rows is never held as one string."""
+    rows = tuple(
+        families.ScanRow(i / 3000, "2-SW", 2, -i / 7, {1: i / 9, 2: -i / 11}, 64, True)
+        for i in range(3000)
+    )
+    report = cli.build_report("scan", {"steps": 3000}, cli.scan_to_json(families.ScanResult(rows)))
+    out = tmp_path / "scan.json"
+    tracemalloc.start()
+    try:
+        cli._emit_report(report, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == json.dumps(report, indent=2) + "\n"
     assert peak < out.stat().st_size / 2
