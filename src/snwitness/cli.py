@@ -259,6 +259,14 @@ def _emit_report(report: dict, output: str | None):
 # commands
 
 
+def _refuse_unrepresentable(entries: int, itemsize: int, what: str) -> None:
+    """Refuse an array of ``entries`` items of ``itemsize`` bytes before numpy
+    sees its size: beyond the address range numpy raises ValueError, not the
+    MemoryError that ``main`` reports."""
+    if entries * itemsize > np.iinfo(np.intp).max:
+        raise CliInputError(f"{what} of {entries} entries is too large to allocate")
+
+
 def _config_from_args(args) -> OptimizerConfig:
     return OptimizerConfig(
         seed=args.seed, restarts=args.restarts, positivity_tol=args.tol
@@ -297,6 +305,7 @@ def cmd_scan(args) -> int:
         raise CliInputError(f"--steps must be >= 1, got {args.steps}")
     if not 0 <= args.a_from < 1 or not 0 <= args.a_to < 1 or args.a_to < args.a_from:
         raise CliInputError("scan grid must satisfy 0 <= a-from <= a-to < 1")
+    _refuse_unrepresentable(args.steps, 8, "the scan grid")
     grid = np.linspace(args.a_from, args.a_to, args.steps)
     config = _config_from_args(args)
     scan = threshold_scan(
@@ -333,10 +342,12 @@ def cmd_map(args) -> int:
     """``lift`` or ``lower`` (``args.cmd``) of a state or operator file."""
     data = load_payload(args.input)
     lift = args.cmd == "lift"
+    k = max(args.k, 0)  # a k below 1 is the maps' own error
     if "amplitudes" in data:
         source = state_from_json(data)
         diagnostics = {"kind": "state"}
         if lift:
+            _refuse_unrepresentable(source.dims.total * k * k, 16, "the lifted state")
             lifted = lift_state(source, args.k)
             state = lifted.state
             diagnostics.update(sourceRank=lifted.source_rank, blockCount=lifted.block_count)
@@ -347,6 +358,7 @@ def cmd_map(args) -> int:
     elif "matrix" in data:
         source = operator_from_json(data)
         if lift:
+            _refuse_unrepresentable((source.dims.total * k * k) ** 2, 16, "the lifted operator")
             operator = lift_operator(source, args.k).operator
         else:
             operator = lower_operator(source, args.k)

@@ -14,7 +14,7 @@ from .witness import (
     OptimizerConfig,
     WitnessClassification,
     _level_minimum,
-    _transposed_extremes,
+    _Spectra,
     classify_schmidt_witness,
 )
 
@@ -133,11 +133,9 @@ def threshold_scan(
             cls = classify_schmidt_witness(s, max_k, config)
             product_min = dict(cls.per_level_product_min)
             converged = cls.converged
-            missing = [level for level in SCAN_LEVELS if level not in product_min]
-            # one S^Gamma spectrum for the row's fill-ins below full rank
-            extremes = _transposed_extremes(s) if any(level < d for level in missing) else None
-            for level in missing:
-                fill = _level_minimum(s, level, config, extremes=extremes)
+            spectra = _Spectra(s)  # one record for the row's fill-ins
+            for level in sorted(set(SCAN_LEVELS) - product_min.keys()):
+                fill = _level_minimum(spectra, level, config)
                 product_min[level] = fill.value
                 converged = converged and fill.converged
             rows.append(
@@ -191,6 +189,6 @@ def _boundary(d: int, left: ScanRow, right: ScanRow, config, bisect_tol: float) 
     lo, hi = left.a, right.a
     if ends == [True, False]:
         while hi - lo > 2 * bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-            inside = _level_minimum(make_isotropic_witness(mid, d), level, config).value >= -tol
-            lo, hi = (mid, hi) if inside else (lo, mid)
+            found = _level_minimum(_Spectra(make_isotropic_witness(mid, d)), level, config)
+            lo, hi = (mid, hi) if found.value >= -tol else (lo, mid)
     return Boundary(left.verdict, right.verdict, left.a, right.a, 0.5 * (lo + hi), hi - lo)

@@ -23,6 +23,7 @@ level is solved exactly, again without the optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -282,10 +283,26 @@ def is_entanglement_witness(w: Operator, config: OptimizerConfig) -> WitnessChec
     )
 
 
-def _transposed_extremes(s: Operator) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of S^Gamma, S with B transposed."""
-    evals = np.linalg.eigvalsh(partial_transpose(s).matrix)
-    return float(evals[0]), float(evals[-1])
+@dataclass(frozen=True)
+class _Spectra:
+    """The spectral facts of S that its Schmidt levels read, each computed on
+    first use and kept: the lowest ``eigenpair``, the smallest and largest
+    eigenvalue of S^Gamma (``extremes``) and S's eigensolver ``rounding``."""
+
+    s: Operator
+
+    @cached_property
+    def eigenpair(self) -> tuple[float, PureState]:
+        return min_eigenpair(self.s)
+
+    @cached_property
+    def extremes(self) -> tuple[float, float]:
+        evals = np.linalg.eigvalsh(partial_transpose(self.s).matrix)
+        return float(evals[0]), float(evals[-1])
+
+    @cached_property
+    def rounding(self) -> float:
+        return _rounding(self.s, np.linalg.eigvalsh(self.s.matrix))
 
 
 def _level_bound(s: Operator, level: int, extremes: tuple[float, float]) -> float:
@@ -307,35 +324,31 @@ def _rounding(s: Operator, evals) -> float:
     return s.dims.total * float(np.finfo(float).eps) * float(np.max(np.abs(evals)))
 
 
-def _level_minimum(
-    s: Operator, level: int, config: OptimizerConfig, eigenpair=None, extremes=None
-) -> ProductMinResult:
+def _level_minimum(spectra: _Spectra, level: int, config: OptimizerConfig) -> ProductMinResult:
     """Minimum of <psi|S|psi> over psi of Schmidt rank <= level, for S
-    without ancillas.
+    without ancillas, from its record ``spectra``.
 
     Every state has Schmidt rank <= min(dA, dB), so from that level on the
-    answer is the smallest eigenvalue and its unit eigenvector (``eigenpair``
-    when the caller already has it) and no see-saw runs.  Below it, a level
-    whose partial-transpose bound (from ``extremes`` when the caller already
-    has them) is at least -positivity_tol cannot detect, so that bound is
-    the answer.  Otherwise the lowest eigenvector, cut to its top ``level``
-    Schmidt terms and normalized, is a state psi of Schmidt rank <= level:
-    bound <= minimum <= <psi|S|psi>, so where <psi|S|psi> is below
+    answer is the record's smallest eigenvalue and unit eigenvector and no
+    see-saw runs.  Below it, a level whose partial-transpose bound (from the
+    record's ``extremes``) is at least -positivity_tol cannot detect, so that
+    bound is the answer.  Otherwise the lowest eigenvector, cut to its top
+    ``level`` Schmidt terms and normalized, is a state psi of Schmidt rank
+    <= level: bound <= minimum <= <psi|S|psi>, so where <psi|S|psi> is below
     -positivity_tol and within 4 rounding of the bound it is the answer,
     with source "exact".  Otherwise it is the rank-level see-saw minimum.
     """
+    s = spectra.s
     if level >= min(s.dims.dA, s.dims.dB):
-        value, vector = min_eigenpair(s) if eigenpair is None else eigenpair
-        return ProductMinResult(value, vector, True, "spectrum")
-    extremes = _transposed_extremes(s) if extremes is None else extremes
-    bound = _level_bound(s, level, extremes)
+        return ProductMinResult(*spectra.eigenpair, True, "spectrum")
+    bound = _level_bound(s, level, spectra.extremes)
     if bound >= -config.positivity_tol:
         return ProductMinResult(bound, None, True, "bound")
-    vector = (min_eigenpair(s) if eigenpair is None else eigenpair)[1]
+    vector = spectra.eigenpair[1]
     u, sigma, vh = np.linalg.svd(vector.amplitudes.reshape(s.dims.dA, s.dims.dB))
     psi = ((u[:, :level] * sigma[:level]) @ vh[:level]).ravel() / np.linalg.norm(sigma[:level])
     value = float(np.vdot(psi, s.matrix @ psi).real)
-    if value < -config.positivity_tol and value - bound <= 4 * _rounding(s, extremes):
+    if value < -config.positivity_tol and value - bound <= 4 * _rounding(s, spectra.extremes):
         return ProductMinResult(value, PureState(s.dims, psi), True, "exact")
     return min_product_expectation(s, config, k=level)
 
@@ -363,16 +376,15 @@ def classify_schmidt_witness(
         max_k = limit
     if not _is_int(max_k) or not 1 <= max_k <= limit:
         raise ParameterError(f"max_k must be in [1, {limit}], got {max_k}")
-    eigenpair = min_eigenpair(s)
-    min_eig = eigenpair[0]
+    spectra = _Spectra(s)
+    min_eig = spectra.eigenpair[0]
     tol = config.positivity_tol
     if min_eig >= -tol:
         return WitnessClassification(POSITIVE, None, min_eig, {}, None)
-    extremes = _transposed_extremes(s)
     per_level: dict[int, float] = {}
     converged = True
     for level in range(1, max_k + 1):
-        found = _level_minimum(s, level, config, eigenpair, extremes)
+        found = _level_minimum(spectra, level, config)
         per_level[level] = found.value
         converged = converged and found.converged
         if found.value < -tol:
@@ -445,26 +457,25 @@ def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
     return FinerCertificate(found, 1 / t, min_eig, z, evidence)
 
 
-def _ratio_min(p: Operator, q: Operator, level: int, config: OptimizerConfig, psi) -> float:
+def _ratio_min(p: _Spectra, q: _Spectra, level: int, config: OptimizerConfig, psi) -> float:
     """Smallest <psi|P|psi> / <psi|Q|psi> over unit psi of Schmidt rank <= level
-    found by Dinkelbach's iteration from the unit state ``psi``: with r the
-    ratio at psi, the see-saw minimizes P - r Q (from fresh ``_starts``, then
-    from the last run's A factors) and its best A B^T is the next psi, until
-    that minimum is >= -CONVERGENCE_TOL max(1, |r|), the see-saw's own
-    tolerance, or r stops falling.  A <P> within rounding of 0 reads as 0;
-    where <Q> is not above rounding, the ratio is -inf if <P> < 0, else 0."""
-    tau_p, tau_q = (_rounding(op, np.linalg.eigvalsh(op.matrix)) for op in (p, q))
+    for the records ``p`` of P and ``q`` of Q, by Dinkelbach's iteration from
+    the unit state ``psi``: with r the ratio at psi, the see-saw minimizes
+    P - r Q (from fresh ``_starts``, then from the last run's A factors) and
+    its best A B^T is the next psi, until that minimum is >= -CONVERGENCE_TOL
+    max(1, |r|), or r stops falling.  A <P> within P's ``rounding`` of 0 is
+    0; where <Q> is not above Q's, the ratio is -inf if <P> < 0, else 0."""
 
     def ratio(psi) -> float:
-        num, den = (float(np.vdot(psi, m @ psi).real) for m in (p.matrix, q.matrix))
-        if den > tau_q:
-            return 0.0 if abs(num) <= tau_p else num / den
-        return -np.inf if num < -tau_p else 0.0
+        num, den = (float(np.vdot(psi, m @ psi).real) for m in (p.s.matrix, q.s.matrix))
+        if den > q.rounding:
+            return 0.0 if abs(num) <= p.rounding else num / den
+        return -np.inf if num < -p.rounding else 0.0
 
-    starts = _starts(config, p.dims.dA * level)
+    starts = _starts(config, p.s.dims.dA * level)
     r = ratio(psi)
     while r > -np.inf:
-        run = _seesaw(p.as_tensor() - r * q.as_tensor(), level, starts)
+        run = _seesaw(p.s.as_tensor() - r * q.s.as_tensor(), level, starts)
         best = int(np.argmin(run.values))
         if run.values[best] >= -CONVERGENCE_TOL * max(1.0, abs(r)):
             break
@@ -508,25 +519,25 @@ def lambda_max_subtraction(
     limit = min(s.dims.dA, s.dims.dB)
     if k > limit:
         raise ParameterError(f"k must be <= min(dA, dB) = {limit}, got {k}")
+    s_rec, z_rec, minus_z_rec = _Spectra(s), _Spectra(z), _Spectra(Operator(z.dims, -z.matrix))
     minima = []
-    for name, op, level in (("S", s, k - 1), ("Z", z, k)):
-        minima.append(_level_minimum(op, level, config))
+    for name, spectra, level in (("S", s_rec, k - 1), ("Z", z_rec, k)):
+        minima.append(_level_minimum(spectra, level, config))
         if (value := minima[-1].value) < -config.positivity_tol:
             raise PreconditionError(
                 f"level {level} minimum of {name} is {value:g}: {name} must be "
                 f"non-negative on Schmidt rank <= {level}"
             )
 
-    minus_z = Operator(z.dims, -z.matrix)
-    z_max = min_product_expectation(minus_z, config, k - 1)
-    if -z_max.value <= _rounding(z, np.linalg.eigvalsh(z.matrix)):
+    z_max = min_product_expectation(minus_z_rec.s, config, k - 1)
+    if -z_max.value <= z_rec.rounding:
         raise PreconditionError(
             f"Z vanishes on Schmidt rank <= {k - 1}: its maximum there is {-z_max.value:g}"
         )
-    lambda0 = max(_ratio_min(s, z, k - 1, config, z_max.minimizer.amplitudes), 0.0)
+    lambda0 = max(_ratio_min(s_rec, z_rec, k - 1, config, z_max.minimizer.amplitudes), 0.0)
     # S's see-saw minimizer, unless its bound certified the level
     psi_s = minima[0].minimizer or min_product_expectation(s, config, k - 1).minimizer
-    inverse = _ratio_min(minus_z, s, k - 1, config, psi_s.amplitudes)
+    inverse = _ratio_min(minus_z_rec, s_rec, k - 1, config, psi_s.amplitudes)
     formula_sup_inv = -1.0 / inverse if inverse < 0 else np.inf
 
     refined = refine_by_subtraction(s, z, lambda0) if lambda0 < 1.0 else None

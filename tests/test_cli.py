@@ -201,11 +201,17 @@ REJECTED_INPUTS = {
     "lift-too-large-to-allocate": ["lift", "--input", "{operator}", "--k", "1000"],
     "oracle-too-large-to-allocate": ["verify", "--suite", "oracle", "--dims", "2x100000000",
                                      "--trials", "1"],
+    # sizes beyond numpy's address range, for which it raises ValueError, not
+    # MemoryError: refused before any array is made (see NUMPY_NEVER_SEES)
+    "lift-beyond-numpy": ["lift", "--input", "{operator}", "--k", "100000"],
+    "lift-state-beyond-numpy": ["lift", "--input", "{state}", "--k", str(10**20)],
+    "scan-beyond-numpy": ["scan", "--a-from", "0.1", "--a-to", "0.2", "--steps", str(10**20)],
 }
+NUMPY_NEVER_SEES = {"lift-beyond-numpy", "lift-state-beyond-numpy", "scan-beyond-numpy"}
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED_INPUTS))
-def test_rejected_inputs_exit_2_with_one_error_line(tmp_path, capsys, name):
+def test_rejected_inputs_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, name):
     paths = {
         "missing": str(tmp_path / "missing.json"),
         "array": write_json(tmp_path / "array.json", [1, 2]),
@@ -213,7 +219,15 @@ def test_rejected_inputs_exit_2_with_one_error_line(tmp_path, capsys, name):
         "operator": write_json(
             tmp_path / "operator.json", operator_to_json(random_hermitian(Dims(2, 2), seed=3))
         ),
+        "state": write_json(tmp_path / "state.json", state_to_json(maximally_entangled_state(2))),
     }
+    if name in NUMPY_NEVER_SEES:
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy was asked for the array")
+
+        # the lifts allocate with np.zeros, the scan grid with np.linspace
+        for attr in ("zeros", "linspace"):
+            monkeypatch.setattr(np, attr, refuse)
     assert run_cli(*[arg.format(**paths) for arg in REJECTED_INPUTS[name]]) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()

@@ -211,9 +211,9 @@ def count_level_evaluations(monkeypatch):
     calls = []
     level_minimum = families._level_minimum
 
-    def counted(s, level, config, **kwargs):
+    def counted(spectra, level, config):
         calls.append(level)
-        return level_minimum(s, level, config, **kwargs)
+        return level_minimum(spectra, level, config)
 
     monkeypatch.setattr(families, "_level_minimum", counted)
     return calls
@@ -262,7 +262,7 @@ def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(monkeypatch, d
     level = d if positive else min(left.k, right.k)
     ends = []
     for row in (left, right):
-        value = families._level_minimum(isotropic(row.a, d), level, FAST).value
+        value = families._level_minimum(witness._Spectra(isotropic(row.a, d)), level, FAST).value
         assert row.product_min.get(level, row.min_eigenvalue) == value
         ends.append(value >= -FAST.positivity_tol)
     assert ends == [True, False]
@@ -284,8 +284,8 @@ def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
     # family, so an unconverged fill-in is forced
     level_minimum = families._level_minimum
 
-    def unconverged(s, level, config, **kwargs):
-        return dataclasses.replace(level_minimum(s, level, config, **kwargs), converged=False)
+    def unconverged(spectra, level, config):
+        return dataclasses.replace(level_minimum(spectra, level, config), converged=False)
 
     monkeypatch.setattr(families, "_level_minimum", unconverged)
     (row,) = threshold_scan([0.05], d=3, config=FAST).rows
@@ -296,16 +296,15 @@ def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
 
 
 def count_transposed_spectra(monkeypatch):
-    """The list of operators whose S^Gamma extremes the scan computes."""
+    """The list of operators whose S^Gamma the scan computes."""
     calls = []
-    transposed_extremes = witness._transposed_extremes
+    partial_transpose = witness.partial_transpose
 
-    def counted(s):
+    def counted(s, *args):
         calls.append(s)
-        return transposed_extremes(s)
+        return partial_transpose(s, *args)
 
-    monkeypatch.setattr(witness, "_transposed_extremes", counted)
-    monkeypatch.setattr(families, "_transposed_extremes", counted)
+    monkeypatch.setattr(witness, "partial_transpose", counted)
     return calls
 
 

@@ -236,7 +236,7 @@ def test_classification_matches_the_rank_k_oracle(problem):
         assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, int(negative[0]) + 1)
     else:
         assert (cls.verdict, cls.k) == (POSITIVE, None)
-    extremes = witness._transposed_extremes(s)
+    extremes = witness._Spectra(s).extremes
     for level, value in cls.per_level_product_min.items():
         m = oracle[level - 1]
         if level < full:
@@ -258,7 +258,7 @@ def test_classification_matches_the_rank_k_oracle(problem):
 @pytest.mark.parametrize("a", [0.05, 0.2, 0.5, 0.9])
 def test_partial_transpose_bound_is_exact_on_the_isotropic_family(d, a):
     s = isotropic(a, d=d)
-    extremes = witness._transposed_extremes(s)
+    extremes = witness._Spectra(s).extremes
     for level in range(1, d + 1):
         closed = (1 / d**2 - a * level / d) / (1 - a)
         assert abs(witness._level_bound(s, level, extremes) - closed) < 1e-12
@@ -282,10 +282,10 @@ def test_partial_transpose_bound_is_below_the_seesaw(problem):
     s, _, seed = problem
     config = OptimizerConfig(seed=seed, restarts=4)
     tol = config.positivity_tol
-    extremes = witness._transposed_extremes(s)
+    extremes = witness._Spectra(s).extremes
     for level in range(1, min(s.dims.dA, s.dims.dB)):
         bound = witness._level_bound(s, level, extremes)
-        found = witness._level_minimum(s, level, config, extremes=extremes)
+        found = witness._level_minimum(witness._Spectra(s), level, config)
         assert (found.source == "bound") == (bound >= -tol)
         if found.source == "seesaw":
             seesaw = found.value
@@ -311,7 +311,7 @@ def test_the_bound_decides_a_level_only_down_to_minus_tol(margin, source, k):
     # -margin * tol, just above or just below -tol
     value = -margin * CFG.positivity_tol
     s = isotropic((1 / 9 - value) / (2 / 3 - value))
-    found = witness._level_minimum(s, 2, CFG)
+    found = witness._level_minimum(witness._Spectra(s), 2, CFG)
     assert found.source == source
     assert abs(found.value - value) < 1e-12
     assert classify_schmidt_witness(s, config=CFG).k == k
@@ -347,7 +347,7 @@ def test_isotropic_detecting_levels_are_exact(monkeypatch, d):
         for level, value in cls.per_level_product_min.items():
             assert abs(value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-12
         for level in range(k, d):
-            found = witness._level_minimum(s, level, config)
+            found = witness._level_minimum(witness._Spectra(s), level, config)
             assert (found.source, found.converged) == ("exact", True)
             assert abs(found.value - (1 / d**2 - a * level / d) / (1 - a)) < 1e-12
             assert abs(found.minimizer.norm() - 1) < 1e-12
@@ -576,7 +576,7 @@ def test_the_kernel_never_runs_at_the_full_rank_level(monkeypatch):
     cls = classify_schmidt_witness(s, config=OptimizerConfig(restarts=8))
     assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, 2)
     assert abs(cls.per_level_product_min[2] + 0.05) < 1e-8
-    full = witness._level_minimum(s, 4, OptimizerConfig(restarts=8))
+    full = witness._level_minimum(witness._Spectra(s), 4, OptimizerConfig(restarts=8))
     assert (full.source, full.value) == ("spectrum", cls.min_eigenvalue)
     assert levels == [2]
     levels.clear()
@@ -803,8 +803,27 @@ def test_identity_pencil_threshold_is_one():
     psi = np.zeros(9, dtype=complex)
     psi[0] = 1.0  # |00>, where <S> = (1/9 - 1/24) / (7/8)
     minus_s = Operator(D33, -s.matrix)
-    assert witness._ratio_min(s, s, 2, CFG, psi) == 1.0
-    assert witness._ratio_min(minus_s, s, 2, CFG, psi) == -1.0
+    assert witness._ratio_min(witness._Spectra(s), witness._Spectra(s), 2, CFG, psi) == 1.0
+    assert witness._ratio_min(witness._Spectra(minus_s), witness._Spectra(s), 2, CFG, psi) == -1.0
+
+
+def test_subtraction_solves_each_spectrum_once(monkeypatch):
+    # one record each for S, Z and -Z: their rounding is one eigvalsh each,
+    # and S's level 2 reads the extremes of S^Gamma from one more; Z's level
+    # 3 is its lowest eigenpair, from eigh
+    s, z = isotropic(1 / 8), identity_over_nine()
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        solved.append(np.asarray(m).tobytes())
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    result = lambda_max_subtraction(s, z, 3, CFG)
+    expected = [witness.partial_transpose(s).matrix, s.matrix, z.matrix, -z.matrix]
+    assert sorted(solved) == sorted(m.tobytes() for m in expected)
+    assert abs(result.lambda0 - 2 / 7) < 1e-6
 
 
 def test_subtraction_threshold_for_family_instance():
@@ -989,7 +1008,7 @@ def test_identity_pencil_is_the_plain_kernel(dims, k):
     identity = Operator(s.dims, np.eye(s.dims.total))
     psi = np.zeros(s.dims.total, dtype=complex)
     psi[0] = 1.0
-    ratio = witness._ratio_min(s, identity, k, CFG, psi)
+    ratio = witness._ratio_min(witness._Spectra(s), witness._Spectra(identity), k, CFG, psi)
     assert abs(ratio - min_product_expectation(s, CFG, k).value) < 1e-9
 
 
@@ -1012,7 +1031,8 @@ def test_ratio_min_stops_when_the_seesaw_state_does_not_lower_the_ratio(monkeypa
         return witness.SeesawRun(np.array([-1.0]), a, a.copy(), np.array([True]), [])
 
     monkeypatch.setattr(witness, "_seesaw", stuck)
-    assert witness._ratio_min(p, q, 1, CFG, psi) == expectation(p, PureState(D33, psi))
+    ratio = witness._ratio_min(witness._Spectra(p), witness._Spectra(q), 1, CFG, psi)
+    assert ratio == expectation(p, PureState(D33, psi))
     assert calls == [1]
 
 
@@ -1138,7 +1158,7 @@ def test_level_minimum_returns_one_record_from_each_branch():
     dip = Operator(D33, 0.7 * np.eye(9) - np.outer(phi, phi))
     for s, level, source in [(isotropic(1 / 8), 3, "spectrum"), (isotropic(1 / 8), 2, "bound"),
                              (isotropic(0.2), 2, "exact"), (dip, 2, "seesaw")]:
-        found = witness._level_minimum(s, level, CFG)
+        found = witness._level_minimum(witness._Spectra(s), level, CFG)
         assert isinstance(found, ProductMinResult)
         assert (found.source, found.converged) == (source, True)
         assert (found.run is None) == (source != "seesaw")
@@ -1148,6 +1168,27 @@ def test_level_minimum_returns_one_record_from_each_branch():
     assert found.value == direct.value
     assert found.minimizer.amplitudes.tobytes() == direct.minimizer.amplitudes.tobytes()
     assert found.minimizer.dims == D33 and abs(found.minimizer.norm() - 1) < 1e-12
+
+
+def test_spectra_fields_are_computed_once(monkeypatch):
+    # iso(0.2) at d = 3: level 1 is the bound, level 2 exact and level 3 the
+    # spectrum, so every level reads the record; each field is solved once
+    calls = []
+    for name in ("min_eigenpair", "partial_transpose"):
+        original = getattr(witness, name)
+        monkeypatch.setattr(
+            witness, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
+        )
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda *args: calls.append("eigvalsh") or eigvalsh(*args)
+    )
+    spectra = witness._Spectra(isotropic(0.2))
+    for _ in range(2):
+        sources = [witness._level_minimum(spectra, level, CFG).source for level in (1, 2, 3)]
+        assert sources == ["bound", "exact", "spectrum"]
+        assert spectra.rounding > 0
+    assert sorted(calls) == ["eigvalsh", "eigvalsh", "min_eigenpair", "partial_transpose"]
 
 
 @pytest.mark.parametrize("dims, k", [((3, 3), 1), ((3, 4), 2), ((4, 4), 3)])
