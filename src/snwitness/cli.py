@@ -435,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--max-k", type=int, default=None, dest="max_k")
-    p.add_argument("--bisect", action="store_true", help="bisect verdict boundaries")
-    p.add_argument("--bisect-tol", type=float, default=5e-3, dest="bisect_tol")
+    p.add_argument("--bisect", action="store_true", help="locate verdict boundaries")
+    p.add_argument("--bisect-tol", type=float, default=5e-3, dest="bisect_tol",
+                   help="half-width of each boundary's bracket")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_scan)

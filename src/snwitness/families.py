@@ -13,9 +13,10 @@ from .witness import (
     POSITIVE,
     OptimizerConfig,
     WitnessClassification,
+    _classify,
     _level_minimum,
+    _ratio_min,
     _Spectra,
-    classify_schmidt_witness,
 )
 
 
@@ -76,7 +77,9 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class Boundary:
-    """A bisected verdict boundary between two adjacent scan points."""
+    """A verdict boundary between adjacent scan points: the governing level's
+    threshold ``a_star`` and the ``width`` of a bracket about it whose ends
+    carry the two verdicts (the rows', about their midpoint, if none is found)."""
 
     left_verdict: str
     right_verdict: str
@@ -113,11 +116,12 @@ def threshold_scan(
     Each row records the verdict plus the product minima at the ancilla
     levels SCAN_LEVELS (computed even when classification stopped earlier);
     it is converged only if the classification and every such fill-in are.
-    With ``bisect`` set, every verdict change between adjacent rows is
-    located to within ``bisect_tol`` by bisecting the sign of the level
-    minimum that governs that boundary (see ``_boundary``).  A row whose
-    classification fails with a package or linear-algebra error is marked
-    and the scan continues; pairs next to it are not bisected.
+    One spectral record per row serves all three.  With ``bisect`` set,
+    every verdict change between adjacent rows is located as the threshold
+    of the level that governs it, in a bracket of half-width ``bisect_tol``
+    (see ``_boundary``).  A row whose classification fails with a package or
+    linear-algebra error is marked and the scan continues; pairs next to it
+    get no boundary.
     """
     if d < 2:
         raise ParameterError(f"local dimension must be >= 2, got {d}")
@@ -126,69 +130,71 @@ def threshold_scan(
     if not bisect_tol > 0:
         raise ParameterError(f"bisect_tol must be > 0, got {bisect_tol}")
 
-    rows = []
+    scanned = []  # (row, its operator's record)
     for a in sorted(float(x) for x in a_values):
+        spectra = None
         try:
-            s = make_isotropic_witness(a, d)
-            cls = classify_schmidt_witness(s, max_k, config)
+            spectra = _Spectra(make_isotropic_witness(a, d))
+            cls = _classify(spectra, d if max_k is None else max_k, config)
             product_min = dict(cls.per_level_product_min)
             converged = cls.converged
-            spectra = _Spectra(s)  # one record for the row's fill-ins
             for level in sorted(set(SCAN_LEVELS) - product_min.keys()):
                 fill = _level_minimum(spectra, level, config)
                 product_min[level] = fill.value
                 converged = converged and fill.converged
-            rows.append(
-                ScanRow(
-                    a=a,
-                    verdict=_verdict_label(cls),
-                    k=cls.k,
-                    min_eigenvalue=cls.min_eigenvalue,
-                    product_min=dict(sorted(product_min.items())),
-                    restarts=config.restarts,
-                    converged=converged,
-                )
-            )
+            product_min = dict(sorted(product_min.items()))
+            row = ScanRow(a, _verdict_label(cls), cls.k, cls.min_eigenvalue, product_min,
+                          config.restarts, converged)
         except (SnWitnessError, np.linalg.LinAlgError) as exc:  # record, keep scanning
-            rows.append(
-                ScanRow(
-                    a=a,
-                    verdict="failed",
-                    k=None,
-                    min_eigenvalue=float("nan"),
-                    product_min={},
-                    restarts=config.restarts,
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            row = ScanRow(a, "failed", None, float("nan"), {}, config.restarts, False, error)
+        scanned.append((row, spectra))
 
     boundaries = []
     if bisect:
-        for left, right in zip(rows, rows[1:]):
+        for (left, _), (right, spectra) in zip(scanned, scanned[1:]):
             if left.error or right.error or left.verdict == right.verdict:
                 continue
-            boundaries.append(_boundary(d, left, right, config, bisect_tol))
-    return ScanResult(tuple(rows), tuple(boundaries))
+            boundaries.append(_boundary(d, left, right, spectra, config, bisect_tol))
+    return ScanResult(tuple(row for row, _ in scanned), tuple(boundaries))
 
 
-def _boundary(d: int, left: ScanRow, right: ScanRow, config, bisect_tol: float) -> Boundary:
-    """Bisect the verdict change between two adjacent rows on the sign of the
-    governing level's minimum: level d (the smallest eigenvalue) next to a
-    positive verdict, else the lower witness order; a ">M-SW" row (k None)
-    is of order M + 1 or more, so the other row's order k <= M is the lower.
-    The rows hold those minima (level d as ``min_eigenvalue`` when unlisted),
-    so the end verdicts are read, not recomputed.  Halving stops once the
-    bracket is at most 2 * bisect_tol wide or its ends are adjacent floats;
-    unless the level is non-negative at the left row and negative at the
-    right, the whole bracket is returned."""
+def _boundary(d, left: ScanRow, right: ScanRow, spectra, config, bisect_tol: float) -> Boundary:
+    """The verdict change between two adjacent rows, at the threshold of the
+    governing level l: d (the smallest eigenvalue) next to a positive verdict,
+    else the lower order (a ">M-SW" row's exceeds the other's k <= M).  The
+    rows hold both end verdicts (level d as ``min_eigenvalue`` if unlisted).
+
+    With tau = positivity_tol, level l of (I/d^2 - a P)/(1 - a) is >= -tau
+    exactly where a <= min <psi|(1/d^2 + tau) I|psi> / <psi|P + tau I|psi>
+    over Schmidt rank <= l, which ``_ratio_min`` finds from the right row's
+    level-l minimizer, read from its record ``spectra``.  The bracket a_star
+    -+ h, its ends rounded inward and clamped to the rows (whose verdicts are
+    known), starts at h = max(bisect_tol, spacing(a_star)); h doubles until
+    level l holds at its left end and detects at its right end.  Without a
+    sign change between the rows, or with a_star outside them, the bracket is
+    the rows' and a_star their midpoint."""
     tol = config.positivity_tol
     orders = [row.k for row in (left, right) if row.k is not None]
     level = d if POSITIVE in (left.verdict, right.verdict) else min(orders)
     ends = [row.product_min.get(level, row.min_eigenvalue) >= -tol for row in (left, right)]
     lo, hi = left.a, right.a
+
+    def holds(a: float) -> bool:
+        return _level_minimum(_Spectra(make_isotropic_witness(a, d)), level, config).value >= -tol
+
     if ends == [True, False]:
-        while hi - lo > 2 * bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-            found = _level_minimum(_Spectra(make_isotropic_witness(mid, d)), level, config)
-            lo, hi = (mid, hi) if found.value >= -tol else (lo, mid)
-    return Boundary(left.verdict, right.verdict, left.a, right.a, 0.5 * (lo + hi), hi - lo)
+        psi = _level_minimum(spectra, level, config).minimizer.amplitudes
+        phi = maximally_entangled_state(d).amplitudes
+        num, den = (_Spectra(Operator(Dims(d, d), m + tol * np.eye(d * d)))
+                    for m in (np.eye(d * d) / d**2, np.outer(phi, phi.conj())))
+        a_star = _ratio_min(num, den, level, config, psi)
+        h = max(bisect_tol, float(np.spacing(a_star)))
+        while lo <= a_star <= hi:
+            low, high = a_star - h, a_star + h
+            low = max(float(np.nextafter(low, a_star)) if a_star - low > h else low, lo)
+            high = min(float(np.nextafter(high, a_star)) if high - a_star > h else high, hi)
+            if (low == lo or holds(low)) and (high == hi or not holds(high)):
+                return Boundary(left.verdict, right.verdict, lo, hi, a_star, high - low)
+            h *= 2
+    return Boundary(left.verdict, right.verdict, lo, hi, 0.5 * (lo + hi), hi - lo)

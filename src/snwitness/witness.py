@@ -22,7 +22,7 @@ level is solved exactly, again without the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -193,8 +193,7 @@ def _seesaw(s4: np.ndarray, k: int, starts) -> SeesawRun:
 
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
     with A (dA x k) and B (dB x k), from one start A per row of ``starts``
-    (a fresh ``_starts`` draw, or the ``a`` of an earlier run to
-    warm-start), which it copies and never writes; needs k <= min(dA, dB).
+    (a ``_starts`` draw), which it copies and never writes; needs k <= min(dA, dB).
     Each half-step solves one factor exactly with the other fixed, by one
     stacked ``eigh`` over the restarts still active.
     For k > 1 the fixed factor is first replaced by the Q of its QR
@@ -376,7 +375,11 @@ def classify_schmidt_witness(
         max_k = limit
     if not _is_int(max_k) or not 1 <= max_k <= limit:
         raise ParameterError(f"max_k must be in [1, {limit}], got {max_k}")
-    spectra = _Spectra(s)
+    return _classify(_Spectra(s), max_k, config)
+
+
+def _classify(spectra: _Spectra, max_k: int, config: OptimizerConfig) -> WitnessClassification:
+    """``classify_schmidt_witness`` after its checks, on a record its caller keeps."""
     min_eig = spectra.eigenpair[0]
     tol = config.positivity_tol
     if min_eig >= -tol:
@@ -460,11 +463,11 @@ def finer_certificate(w1: Operator, w2: Operator) -> FinerCertificate:
 def _ratio_min(p: _Spectra, q: _Spectra, level: int, config: OptimizerConfig, psi) -> float:
     """Smallest <psi|P|psi> / <psi|Q|psi> over unit psi of Schmidt rank <= level
     for the records ``p`` of P and ``q`` of Q, by Dinkelbach's iteration from
-    the unit state ``psi``: with r the ratio at psi, the see-saw minimizes
-    P - r Q (from fresh ``_starts``, then from the last run's A factors) and
-    its best A B^T is the next psi, until that minimum is >= -CONVERGENCE_TOL
-    max(1, |r|), or r stops falling.  A <P> within P's ``rounding`` of 0 is
-    0; where <Q> is not above Q's, the ratio is -inf if <P> < 0, else 0."""
+    the unit state ``psi``: with r the ratio at psi, ``_level_minimum`` of a
+    record of P - r Q, at positivity_tol CONVERGENCE_TOL max(1, |r|), gives
+    the next psi, until that minimum is >= -tol or r stops falling.  A <P>
+    within P's ``rounding`` of 0 is 0; where <Q> is not above Q's, the ratio
+    is -inf if <P> < 0, else 0."""
 
     def ratio(psi) -> float:
         num, den = (float(np.vdot(psi, m @ psi).real) for m in (p.s.matrix, q.s.matrix))
@@ -472,16 +475,12 @@ def _ratio_min(p: _Spectra, q: _Spectra, level: int, config: OptimizerConfig, ps
             return 0.0 if abs(num) <= p.rounding else num / den
         return -np.inf if num < -p.rounding else 0.0
 
-    starts = _starts(config, p.s.dims.dA * level)
     r = ratio(psi)
     while r > -np.inf:
-        run = _seesaw(p.s.as_tensor() - r * q.s.as_tensor(), level, starts)
-        best = int(np.argmin(run.values))
-        if run.values[best] >= -CONVERGENCE_TOL * max(1.0, abs(r)):
-            break
-        starts = run.a
-        following = ratio(run.state(best))
-        if not following < r:
+        tol = CONVERGENCE_TOL * max(1.0, abs(r))
+        pencil = _Spectra(Operator(p.s.dims, p.s.matrix - r * q.s.matrix))
+        found = _level_minimum(pencil, level, replace(config, positivity_tol=tol))
+        if found.value >= -tol or not (following := ratio(found.minimizer.amplitudes)) < r:
             break
         r = following
     return r

@@ -60,8 +60,10 @@ def test_criterion_1_threshold_reproduction():
     assert verdicts == ["PositiveOperator", "3-SW", "2-SW"]
     assert all(row.converged for row in scan.rows)
     lower, upper = scan.boundaries
-    assert abs(lower.a_star - 1 / 9) <= 5e-3
-    assert abs(upper.a_star - 1 / 6) <= 5e-3
+    # level l reaches -tol at (1/9 + tol)/(l/3 + tol): 1/9 and 1/6 for tol = 0
+    tol = config.positivity_tol
+    assert abs(lower.a_star - (1 / 9 + tol) / (1 + tol)) <= 1e-9
+    assert abs(upper.a_star - (1 / 9 + tol) / (2 / 3 + tol)) <= 1e-9
     print(
         f"\nPASS criterion 1: verdicts {verdicts}, boundaries "
         f"{lower.a_star:.5f} (1/9 = {1/9:.5f}) and {upper.a_star:.5f} (1/6 = {1/6:.5f})"
@@ -337,8 +339,9 @@ def test_criterion_10_golden_content_is_consistent():
     rows = report["result"]["rows"]
     assert [row["verdict"] for row in rows] == ["PositiveOperator", "3-SW", "2-SW"]
     boundaries = report["result"]["boundaries"]
-    assert abs(boundaries[0]["aStar"] - 1 / 9) <= 5e-3
-    assert abs(boundaries[1]["aStar"] - 1 / 6) <= 5e-3
+    tol = report["inputs"]["config"]["positivityTol"]
+    assert abs(boundaries[0]["aStar"] - (1 / 9 + tol) / (1 + tol)) <= 1e-9
+    assert abs(boundaries[1]["aStar"] - (1 / 9 + tol) / (2 / 3 + tol)) <= 1e-9
 
     sweep = (GOLDEN / "scan_boundary_sweep.csv").read_text().strip().splitlines()
     worst = 0.0

@@ -372,34 +372,38 @@ def test_scan_below_the_order_labels_a_bound(tmp_path):
 
 
 def test_scan_bisects_between_a_bound_and_an_order(tmp_path):
-    # >1-SW | 1-SW is governed by level 1, which crosses -tol just above a = 1/3
+    # >1-SW | 1-SW is governed by level 1, which crosses -tol at
+    # (1/9 + tol)/(1/3 + tol), just above a = 1/3
     out = tmp_path / "scan.json"
     code = run_cli("scan", "--a-from", "0.125", "--a-to", "0.4", "--steps", "2", "--dim", "3",
                    "--max-k", "1", "--restarts", "8", "--bisect", "--bisect-tol", "0.001",
                    "--output", str(out))
     assert code == 0
-    result = read_report(out)["result"]
+    report = read_report(out)
+    result = report["result"]
     assert [(row["verdict"], row["k"]) for row in result["rows"]] == [(">1-SW", None), ("1-SW", 1)]
     (boundary,) = result["boundaries"]
     assert (boundary["leftVerdict"], boundary["rightVerdict"]) == (">1-SW", "1-SW")
-    assert abs(boundary["aStar"] - 1 / 3) <= boundary["width"] / 2
+    tol = report["inputs"]["config"]["positivityTol"]
+    assert abs(boundary["aStar"] - (1 / 9 + tol) / (1 / 3 + tol)) <= 1e-9
+    assert 0 < boundary["width"] <= 2 * 0.001
 
 
 @pytest.mark.parametrize("fault", ["failed", "unconverged"])
 def test_scan_exits_3_on_a_bad_row(monkeypatch, tmp_path, fault):
-    classify = families.classify_schmidt_witness
+    classify = families._classify
     calls = []
 
-    def one_bad_row(s, *args):
-        calls.append(s)
-        cls = classify(s, *args)
+    def one_bad_row(spectra, *args):
+        calls.append(spectra)
+        cls = classify(spectra, *args)
         if len(calls) == 1:  # rows run in order of a; the second one is bad
             return cls
         if fault == "failed":
             raise PreconditionError("injected")
         return dataclasses.replace(cls, converged=False)
 
-    monkeypatch.setattr(families, "classify_schmidt_witness", one_bad_row)
+    monkeypatch.setattr(families, "_classify", one_bad_row)
     out = tmp_path / "scan.json"
     code = run_cli("scan", "--a-from", "0.05", "--a-to", "0.1", "--steps", "2",
                    "--restarts", "4", "--bisect", "--output", str(out))

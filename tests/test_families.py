@@ -14,7 +14,6 @@ from snwitness import (
     Dims,
     OptimizerConfig,
     ParameterError,
-    classify_schmidt_witness,
     embedding,
     lambda_max_subtraction,
     lift_operator,
@@ -35,6 +34,11 @@ FAST = OptimizerConfig(seed=4, restarts=12)
 
 def isotropic(a, d=3):
     return make_isotropic_witness(a, d)
+
+
+def threshold(d, level, tol=FAST.positivity_tol):
+    """Where level l of the isotropic family reaches -tol: (1/d^2 + tol)/(l/d + tol)."""
+    return (1 / d**2 + tol) / (level / d + tol)
 
 
 def test_family_parameter_validation():
@@ -169,9 +173,9 @@ def test_scan_bisects_boundaries():
     assert len(scan.boundaries) == 2
     first, second = scan.boundaries
     assert (first.left_verdict, first.right_verdict) == ("PositiveOperator", "3-SW")
-    assert abs(first.a_star - 1 / 9) <= 5e-3
+    assert abs(first.a_star - threshold(3, 3)) <= 1e-9
     assert (second.left_verdict, second.right_verdict) == ("3-SW", "2-SW")
-    assert abs(second.a_star - 1 / 6) <= 5e-3
+    assert abs(second.a_star - threshold(3, 2)) <= 1e-9
 
 
 def test_scan_marks_failed_rows_and_continues():
@@ -219,22 +223,29 @@ def count_level_evaluations(monkeypatch):
     return calls
 
 
-def test_bisection_stops_at_adjacent_floats(monkeypatch):
-    calls = count_level_evaluations(monkeypatch)
+def holds_at(d, level, a):
+    """The verdict of level ``level`` at a: its minimum is >= -positivity_tol."""
+    found = families._level_minimum(witness._Spectra(isotropic(a, d)), level, FAST)
+    return found.value >= -FAST.positivity_tol
+
+
+def test_boundary_bracket_is_certified_a_few_floats_wide():
     scan = threshold_scan([0.125, 0.2], d=3, config=FAST, bisect=True, bisect_tol=1e-300)
     (boundary,) = scan.boundaries
-    # from a bracket of width 0.075 the ends are adjacent floats after 52 halvings
-    assert len(calls) <= 60
-    assert 0 < boundary.width <= 2 * np.spacing(boundary.a_star)
-    assert abs(boundary.a_star - 1 / 6) < 1e-6
+    # the half-width starts at one float spacing and doubles until the level
+    # verdicts at both ends are certified
+    half = boundary.width / 2
+    assert [holds_at(3, 2, boundary.a_star + e) for e in (-half, half)] == [True, False]
+    assert 0 < boundary.width <= 64 * np.spacing(boundary.a_star)
+    assert abs(boundary.a_star - threshold(3, 2)) < 1e-15
 
 
-def test_bisection_without_a_sign_change_evaluates_nothing(monkeypatch):
+def test_boundary_without_a_sign_change_evaluates_nothing(monkeypatch):
     left, right = threshold_scan([0.125, 0.2], d=3, config=FAST).rows
     # level 2 governs 3-SW | 2-SW; make it non-negative at the right row too
     right = dataclasses.replace(right, product_min={**right.product_min, 2: 0.0})
     calls = count_level_evaluations(monkeypatch)
-    boundary = _boundary(3, left, right, FAST, 0.01)
+    boundary = _boundary(3, left, right, witness._Spectra(isotropic(0.2)), FAST, 0.01)
     assert calls == []
     assert (boundary.a_low, boundary.a_high) == (0.125, 0.2)
     assert (boundary.a_star, boundary.width) == (0.5 * (0.125 + 0.2), 0.2 - 0.125)
@@ -266,16 +277,40 @@ def test_boundary_endpoint_verdicts_are_the_predicate_at_the_rows(monkeypatch, d
         assert row.product_min.get(level, row.min_eigenvalue) == value
         ends.append(value >= -FAST.positivity_tol)
     assert ends == [True, False]
-    # so the bisection reads them from the rows and evaluates only inside
+    # the search reads the right row's minimizer, finds the threshold as a
+    # ratio and checks the level at the two ends of the bracket about it
     levels = count_level_evaluations(monkeypatch)
-    points = []
-    make = families.make_isotropic_witness
-    monkeypatch.setattr(
-        families, "make_isotropic_witness", lambda a, d: points.append(a) or make(a, d)
-    )
-    _boundary(d, left, right, FAST, 0.01)
-    assert points and levels == [level] * len(points)
-    assert all(a_left < a < a_right for a in points)
+    boundary = _boundary(d, left, right, witness._Spectra(isotropic(a_right, d)), FAST, 0.01)
+    monkeypatch.undo()
+    assert len(levels) <= 3 and set(levels) == {level}
+    half = boundary.width / 2
+    assert [holds_at(d, level, boundary.a_star + e) for e in (-half, half)] == [True, False]
+    assert abs(boundary.a_star - threshold(d, level)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_scan_finds_every_isotropic_boundary_at_its_threshold(monkeypatch, d):
+    # one grid point per verdict region: positive, then d-SW down to 1-SW
+    # (level l detects beyond 1/(d l), the positive region ends at 1/d^2)
+    edges = [1 / d**2] + [1 / (d * level) for level in range(d - 1, 0, -1)] + [1.0]
+    grid = [0.5 / d**2] + [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+    levels = count_level_evaluations(monkeypatch)
+    per_boundary = []
+    boundary = families._boundary
+
+    def counted(*args):
+        start = len(levels)
+        found = boundary(*args)
+        per_boundary.append(len(levels) - start)
+        return found
+
+    monkeypatch.setattr(families, "_boundary", counted)
+    scan = threshold_scan(grid, d=d, config=FAST, bisect=True, bisect_tol=1e-3)
+    assert [row.k for row in scan.rows] == [None] + list(range(d, 0, -1))
+    assert len(scan.boundaries) == len(per_boundary) == d and max(per_boundary) <= 3
+    for level, found in zip(range(d, 0, -1), scan.boundaries):
+        assert abs(found.a_star - threshold(d, level)) <= 1e-12
+        assert 0 < found.width <= 2 * 1e-3
 
 
 def test_scan_row_is_unconverged_when_a_level_fill_in_is(monkeypatch, tmp_path):
@@ -350,9 +385,9 @@ def count_lowest_eigenpairs(monkeypatch):
         # 3-SW and 2-SW rows: the ladder lists levels 1 and 2, no fill-in
         (0.125, 1),
         (0.2, 1),
-        # a 1-SW row: the level-2 fill-in is the truncated eigenvector, and
-        # the classification does not hand its eigenpair back
-        (0.4, 2),
+        # a 1-SW row: the level-2 fill-in is the truncated eigenvector, read
+        # from the record the classification computed
+        (0.4, 1),
     ],
 )
 def test_scan_computes_a_lowest_eigenpair_only_where_it_is_used(monkeypatch, a, eigenpairs):
@@ -375,7 +410,7 @@ def test_scan_lets_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a scan failure")
 
-    monkeypatch.setattr(families, "classify_schmidt_witness", broken)
+    monkeypatch.setattr(families, "_classify", broken)
     with pytest.raises(TypeError):
         threshold_scan([0.05, 0.2], d=3, config=FAST)
 

@@ -810,18 +810,32 @@ def test_identity_pencil_threshold_is_one():
 def test_subtraction_solves_each_spectrum_once(monkeypatch):
     # one record each for S, Z and -Z: their rounding is one eigvalsh each,
     # and S's level 2 reads the extremes of S^Gamma from one more; Z's level
-    # 3 is its lowest eigenpair, from eigh
+    # 3 is its lowest eigenpair, from eigh.  Each Dinkelbach step is one more
+    # record, of its pencil P - r Q, whose level 2 reads the extremes of the
+    # pencil's partial transpose once
     s, z = isotropic(1 / 8), identity_over_nine()
-    solved = []
+    solved, records = [], []
     eigvalsh = np.linalg.eigvalsh
 
     def counted(m, *args, **kwargs):
         solved.append(np.asarray(m).tobytes())
         return eigvalsh(m, *args, **kwargs)
 
+    class Recorded(witness._Spectra):
+        def __init__(self, s):
+            records.append(s)
+            super().__init__(s)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(witness, "_Spectra", Recorded)
     result = lambda_max_subtraction(s, z, 3, CFG)
-    expected = [witness.partial_transpose(s).matrix, s.matrix, z.matrix, -z.matrix]
+    monkeypatch.undo()
+    inputs = [s.matrix, z.matrix, -z.matrix]
+    assert [r.matrix.tobytes() for r in records[:3]] == [m.tobytes() for m in inputs]
+    pencils = records[3:]
+    assert pencils
+    expected = [witness.partial_transpose(s).matrix, *inputs]
+    expected += [witness.partial_transpose(pencil).matrix for pencil in pencils]
     assert sorted(solved) == sorted(m.tobytes() for m in expected)
     assert abs(result.lambda0 - 2 / 7) < 1e-6
 
