@@ -209,29 +209,25 @@ def random_pure_state(dims: Dims, rank: int, seed) -> PureState:
 
 def _random_pure_states(dims: Dims, ranks, seeds) -> np.ndarray:
     """Amplitudes (r, dims.total) of ``random_pure_state(dims, rank, seed)``
-    for each pair of ``ranks`` and ``seeds``.
-
-    Each seed makes its own generator calls; the draws of equal rank are then
-    orthonormalized by one stacked QR per side and contracted by one einsum.
-    """
+    for each pair of ``ranks`` and ``seeds``: each seed's draws fill stacks
+    zero-padded to the largest rank, finished by one QR per side and one
+    einsum.  That changes no bit: a zero column's Householder reflector has
+    tau = 0, so Q keeps the unpadded QR's first ``rank`` columns, and a zero
+    coefficient adds exact zeros."""
     limit = min(dims.a_dim, dims.b_dim)
-    out = np.empty((len(seeds), dims.a_dim, dims.b_dim), dtype=np.complex128)
-    groups: dict[int, list] = {}
+    if bad := [rank for rank in ranks if not 1 <= rank <= limit]:
+        raise ParameterError(f"rank must be in [1, {limit}], got {bad[0]}")
+    r, top = len(seeds), max(ranks)
+    coef = np.zeros((r, top))
+    ga, gb = (np.zeros((r, n, top), dtype=np.complex128) for n in (dims.a_dim, dims.b_dim))
     for row, (rank, seed) in enumerate(zip(ranks, seeds)):
-        if not 1 <= rank <= limit:
-            raise ParameterError(f"rank must be in [1, {limit}], got {rank}")
         rng = np.random.default_rng(seed)
-        coef = rng.uniform(0.35, 1.0, rank)
-        coef = np.sort(coef / np.linalg.norm(coef))[::-1]
-        ga = rng.normal(size=(dims.a_dim, rank)) + 1j * rng.normal(size=(dims.a_dim, rank))
-        gb = rng.normal(size=(dims.b_dim, rank)) + 1j * rng.normal(size=(dims.b_dim, rank))
-        groups.setdefault(rank, []).append((row, coef, ga, gb))
-    for members in groups.values():
-        rows, coef, ga, gb = (np.stack(part) for part in zip(*members))
-        qa, _ = np.linalg.qr(ga)
-        qb, _ = np.linalg.qr(gb)
-        out[rows] = np.einsum("ri,rai,rbi->rab", coef, qa, qb)
-    return out.reshape(len(seeds), dims.total)
+        drawn = rng.uniform(0.35, 1.0, rank)
+        coef[row, :rank] = np.sort(drawn / np.linalg.norm(drawn))[::-1]
+        for g, n in ((ga, dims.a_dim), (gb, dims.b_dim)):
+            g[row, :, :rank] = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    qa, qb = (np.linalg.qr(g)[0] for g in (ga, gb))
+    return np.einsum("ri,rai,rbi->rab", coef, qa, qb).reshape(r, dims.total)
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:

@@ -496,16 +496,17 @@ def lambda_max_subtraction(
 
     Estimates the threshold from the two equivalent quadratic-form ratios of
     the pair over states of Schmidt rank <= k-1, each by ``_ratio_min``:
-    ``lambda0`` is the smallest <psi|S|psi> / <psi|Z|psi>, from Z's see-saw
-    maximizer and clamped at 0; ``formula_sup_inv`` is 1 / the largest
-    <psi|Z|psi> / <psi|S|psi>, as -1 / the smallest ratio of -Z over S from
-    S's see-saw minimizer (0 where Z is positive on a state on which S
-    vanishes).  S must be a k-Schmidt witness, non-negative on Schmidt rank
-    <= k-1, and Z must be non-negative on Schmidt class k: both minima are
-    computed first by ``_level_minimum`` (level k = min(dA, dB) is Z's
-    smallest eigenvalue), and a value below -positivity_tol raises
-    PreconditionError, as does a Z whose maximum over Schmidt rank <= k-1 is
-    within rounding of 0.  Needs an integer 2 <= k <= min(dA, dB).
+    ``lambda0`` is the smallest <psi|S|psi> / <psi|Z|psi>, from Z's maximizer
+    over Schmidt rank <= k-1 (the ``_level_minimum`` of -Z) and clamped at
+    0; ``formula_sup_inv`` is 1 / the largest <psi|Z|psi> / <psi|S|psi>, as
+    -1 / the smallest ratio of -Z over S from S's see-saw minimizer (0 where
+    Z is positive on a state on which S vanishes).  S must be a k-Schmidt
+    witness, non-negative on Schmidt rank <= k-1, and Z must be non-negative
+    on Schmidt class k: both minima are computed first by ``_level_minimum``
+    (level k = min(dA, dB) is Z's smallest eigenvalue), and a value below
+    -positivity_tol raises PreconditionError, as does a Z whose maximum over
+    Schmidt rank <= k-1 is within rounding of 0 (or bounded by positivity_tol,
+    without a maximizer).  Needs an integer 2 <= k <= min(dA, dB).
     """
     if not _is_int(k):
         raise ParameterError(f"k must be an integer, got {k!r}")
@@ -528,8 +529,8 @@ def lambda_max_subtraction(
                 f"non-negative on Schmidt rank <= {level}"
             )
 
-    z_max = min_product_expectation(minus_z_rec.s, config, k - 1)
-    if -z_max.value <= z_rec.rounding:
+    z_max = _level_minimum(minus_z_rec, k - 1, config)
+    if z_max.minimizer is None or -z_max.value <= z_rec.rounding:
         raise PreconditionError(
             f"Z vanishes on Schmidt rank <= {k - 1}: its maximum there is {-z_max.value:g}"
         )

@@ -614,6 +614,29 @@ def test_state_kernels_are_the_public_maps_row_by_row(d_a, d_b):
         expected = _projector_sum(ensemble, by_member, dims.with_ancillas(k)).matrix
         assert np.array_equal(lift_ensemble(ensemble, k).matrix, expected)
 
+    # the suites draw lifted ranks up to a_dim, past every_rank_stack's min(dA, dB)
+    big = Dims(d_a, d_b, 3, 3)
+    ranks = [1 + i % min(big.a_dim, big.b_dim) for i in range(2 * min(big.a_dim, big.b_dim))]
+    seeds = [(83, d_a, d_b, i) for i in range(len(ranks))]
+    amps = _random_pure_states(big, ranks, seeds)
+    for row, r, s in zip(amps, ranks, seeds):
+        assert np.array_equal(row, random_pure_state(big, r, seed=s).amplitudes)
+
+
+def test_random_state_block_makes_one_qr_per_side(monkeypatch):
+    # a block of mixed ranks is padded to its largest rank, not split by rank
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return qr(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    amps = _random_pure_states(Dims(3, 4, 2, 2), [1, 5, 2, 6, 3, 1], [(84, i) for i in range(6)])
+    assert calls == [(6, 6, 6), (6, 8, 6)]
+    assert [schmidt_rank(PureState(Dims(3, 4, 2, 2), row)) for row in amps] == [1, 5, 2, 6, 3, 1]
+
 
 @pytest.mark.parametrize("d_a, d_b", SHAPES)
 def test_operator_and_lowering_kernels_are_the_public_maps_row_by_row(d_a, d_b):

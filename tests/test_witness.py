@@ -809,10 +809,11 @@ def test_identity_pencil_threshold_is_one():
 
 def test_subtraction_solves_each_spectrum_once(monkeypatch):
     # one record each for S, Z and -Z: their rounding is one eigvalsh each,
-    # and S's level 2 reads the extremes of S^Gamma from one more; Z's level
-    # 3 is its lowest eigenpair, from eigh.  Each Dinkelbach step is one more
-    # record, of its pencil P - r Q, whose level 2 reads the extremes of the
-    # pencil's partial transpose once
+    # and the level 2 of S and of -Z (Z's maximum) read the extremes of S^Gamma
+    # and -Z^Gamma from one more each; Z's level 3 is its lowest eigenpair,
+    # from eigh.  Each Dinkelbach step is one more record, of its pencil
+    # P - r Q, whose level 2 reads the extremes of the pencil's partial
+    # transpose once
     s, z = isotropic(1 / 8), identity_over_nine()
     solved, records = [], []
     eigvalsh = np.linalg.eigvalsh
@@ -835,9 +836,25 @@ def test_subtraction_solves_each_spectrum_once(monkeypatch):
     pencils = records[3:]
     assert pencils
     expected = [witness.partial_transpose(s).matrix, *inputs]
-    expected += [witness.partial_transpose(pencil).matrix for pencil in pencils]
+    expected += [witness.partial_transpose(op).matrix for op in (records[2], *pencils)]
     assert sorted(solved) == sorted(m.tobytes() for m in expected)
     assert abs(result.lambda0 - 2 / 7) < 1e-6
+
+
+def test_subtraction_reads_the_maximum_of_z_from_its_record(monkeypatch):
+    # Z = I/9: the lowest eigenvector of -Z is a product state, which meets
+    # the partial-transpose bound, so only S's fallback start runs a see-saw
+    runs = []
+    kernel = witness._seesaw
+
+    def counting(*args):
+        runs.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(witness, "_seesaw", counting)
+    result = lambda_max_subtraction(isotropic(1 / 8), identity_over_nine(), 3, CFG)
+    assert runs == [2]
+    assert abs(result.lambda0 - 2 / 7) < 1e-12
 
 
 def test_subtraction_threshold_for_family_instance():
