@@ -96,14 +96,12 @@ def _random_ensembles(dims: Dims, max_rank: int, rng_seeds, member_seeds):
 def _random_products(dims: Dims, seeds) -> np.ndarray:
     """Unit product states (r, dims.total): seed j draws a complex Gaussian
     A-side vector, then a B-side one."""
-    a = np.empty((len(seeds), dims.a_dim), dtype=np.complex128)
-    b = np.empty((len(seeds), dims.b_dim), dtype=np.complex128)
+    factors = [np.empty((len(seeds), n), dtype=np.complex128) for n in (dims.a_dim, dims.b_dim)]
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        a[row] = rng.normal(size=dims.a_dim) + 1j * rng.normal(size=dims.a_dim)
-        b[row] = rng.normal(size=dims.b_dim) + 1j * rng.normal(size=dims.b_dim)
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
+        for f in factors:
+            f[row] = rng.normal(size=f.shape[1]) + 1j * rng.normal(size=f.shape[1])
+    a, b = (f / np.linalg.norm(f, axis=1, keepdims=True) for f in factors)
     return (a[:, :, None] * b[:, None, :]).reshape(len(seeds), dims.total)
 
 

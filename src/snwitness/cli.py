@@ -47,10 +47,13 @@ class CliInputError(SnWitnessError):
 
 
 def _complex_from_pairs(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """The complex array of ``shape`` written as nested [re, im] pairs, with
-    every bit of each number kept (-0.0 included)."""
+    """The complex array of ``shape`` written as nested [re, im] pairs of JSON
+    numbers (not "0.5" or true), with every bit kept (-0.0 included)."""
     try:
-        pairs = np.array(raw, dtype=np.float64)
+        leaves = np.array(raw, dtype=object)
+        if not set(map(type, leaves.ravel())) <= {int, float}:
+            raise TypeError("an entry is not a JSON number")
+        pairs = leaves.astype(np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"{where}: expected [re, im] pairs of numbers: {exc}") from exc
     if pairs.shape != shape + (2,):

@@ -10,8 +10,8 @@ last block may be smaller) and anc_i is the computational ancilla basis
 vector for the position of i inside its block.  States of Schmidt rank <= k
 therefore become product states across the enlarged (A.anc | B.anc) split.
 
-Operators lift as S -> sum_{s,t} S (x) |ss><tt| (ancilla indices reordered
-into the global convention), which ties product-state positivity in the
+Operators lift as S -> sum_{s,t} S (x) |ss><tt|: S written into the (s, s, t, t)
+ancilla diagonal that lowering sums.  This ties product-state positivity in the
 enlarged space to positivity on bounded-Schmidt-rank states downstairs.
 Lowering is one linear contraction of the two ancillas against
 sum_s |ss>: a state lowers to psi[a,b] = sum_s psi[a,s,b,s], an operator to
@@ -95,8 +95,8 @@ def _lift_states(dims: Dims, amplitudes: np.ndarray, k) -> tuple[np.ndarray, np.
 
 
 def lift_operator(source: Operator, k: int) -> LiftedOperator:
-    """Lift an operator to the enlarged space: sum_{s,t} S (x) |ss><tt|, one
-    copy of S wherever the row ancillas agree and the column ancillas agree."""
+    """Lift an operator to the enlarged space: sum_{s,t} S (x) |ss><tt|, S
+    written into the (s, s, t, t) ancilla diagonal that ``lower_operator`` sums."""
     matrix = _lift_operator(source.dims, source.matrix, k)
     # copies of the validated S: finite, and exactly as Hermitian as S
     return LiftedOperator(Operator._unchecked(source.dims.with_ancillas(k), matrix))
@@ -109,9 +109,7 @@ def _lift_operator(dims: Dims, matrix: np.ndarray, k) -> np.ndarray:
         raise DimensionError("lift_operator expects an operator without ancillas")
     s4 = matrix.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
     big = np.zeros((dims.dA, k, dims.dB, k) * 2, dtype=np.complex128)
-    for s in range(k):
-        for t in range(k):
-            big[:, s, :, s, :, t, :, t] = s4
+    np.einsum("asbsctdt->abcdst", big)[...] = s4[..., None, None]
     n = dims.with_ancillas(k).total
     return big.reshape(n, n)
 

@@ -296,18 +296,16 @@ def partial_expectation(w: Operator, e: PureState, side: str = "A") -> Operator:
     ``side`` names the factor ``e`` lives on: for side "A" the result acts on
     the B-side factor (dimension dB*kB) and vice versa.  Linear in W.
     """
-    d = w.dims
-    vec = e.amplitudes.reshape(1, -1, 1)
+    if side not in ("A", "B"):
+        raise ParameterError(f"side must be 'A' or 'B', got {side!r}")
+    d, t4 = w.dims, w.as_tensor()
     if side == "A":
-        if e.dims.a_dim != d.a_dim or e.dims.b_dim != 1:
-            raise DimensionError("e must live on the A-side factor of W")
-        return Operator(d.b_factor(), _conditional(w.as_tensor(), vec)[0])
-    if side == "B":
-        if e.dims.b_dim != d.b_dim or e.dims.a_dim != 1:
-            raise DimensionError("e must live on the B-side factor of W")
-        swapped = w.as_tensor().transpose(1, 0, 3, 2)
-        return Operator(d.a_factor(), _conditional(swapped, vec)[0])
-    raise ParameterError(f"side must be 'A' or 'B', got {side!r}")
+        e_dims, out_dims = (d.a_dim, 1), d.b_factor()
+    else:
+        t4, e_dims, out_dims = t4.transpose(1, 0, 3, 2), (1, d.b_dim), d.a_factor()
+    if (e.dims.a_dim, e.dims.b_dim) != e_dims:
+        raise DimensionError(f"e must live on the {side}-side factor of W")
+    return Operator(out_dims, _conditional(t4, e.amplitudes.reshape(1, -1, 1))[0])
 
 
 def min_eigenpair(h: Operator) -> tuple[float, PureState]:

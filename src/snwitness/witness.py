@@ -101,11 +101,12 @@ class SeesawRun(NamedTuple):
 class ProductMinResult:
     """Minimum of <psi|W|psi> over unit psi of Schmidt rank <= k (product
     states for k = 1): its ``value``, a unit ``minimizer`` on W's own dims
-    (None for a certified bound), whether the search ``converged``, and its
-    ``source``: "spectrum" (exact), "bound" (a lower bound at or above
-    -positivity_tol), "exact" (a state whose value meets the lower bound up
-    to rounding) or "seesaw" (the best restart of ``run``, an upper bound).
-    ``run`` is None for all sources but "seesaw"."""
+    (None for a certified bound), ``converged`` (the best restart's own stop
+    flag, True for other sources) and its ``source``: "spectrum" (exact),
+    "bound" (a lower bound at or above -positivity_tol), "exact" (a state
+    whose value meets the lower bound up to rounding) or "seesaw" (the best
+    restart of ``run``, an upper bound).  ``run`` is None for all sources but
+    "seesaw".  A classification's or scan row's ``converged`` ANDs its levels'."""
 
     value: float
     minimizer: PureState | None
@@ -194,8 +195,8 @@ def _seesaw(s4: np.ndarray, k: int, starts) -> SeesawRun:
     Minimizes <psi|S|psi> over unit states psi = sum_s A[:,s] (x) B[:,s]
     with A (dA x k) and B (dB x k), from one start A per row of ``starts``
     (a ``_starts`` draw), which it copies and never writes; needs k <= min(dA, dB).
-    Each half-step solves one factor exactly with the other fixed, by one
-    stacked ``eigh`` over the restarts still active.
+    One half-step body runs for B, then for A: it solves the free factor
+    exactly for the fixed one, by one stacked ``eigh`` over active restarts.
     For k > 1 the fixed factor is first replaced by the Q of its QR
     decomposition: that keeps psi, and with orthonormal columns
     ||psi|| = ||free factor||_F, so the unit eigenvector is the exact
@@ -205,35 +206,29 @@ def _seesaw(s4: np.ndarray, k: int, starts) -> SeesawRun:
     and A then within the tolerance of exact for B: a fixed point of
     both), or after MAX_ITERS.
     """
-
-    def solve(t4, f):
-        vals, vecs = np.linalg.eigh(_conditional(t4, f))
-        return vals[:, 0], vecs[:, :, 0]
-
     da, db = s4.shape[0], s4.shape[1]
-    swapped = s4.transpose(1, 0, 3, 2)
     a = np.array(starts, dtype=np.complex128).reshape(-1, da, k)
     a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
     r = a.shape[0]
     b = np.zeros((r, db, k), dtype=np.complex128)
+    sides = ((s4, a, b), (s4.transpose(1, 0, 3, 2), b, a))  # (tensor, fixed, free)
     values = np.full(r, np.inf)
     converged = np.zeros(r, dtype=bool)
     active = np.arange(r)
     history = []
     for _ in range(MAX_ITERS):
-        if k > 1:
-            a[active] = np.linalg.qr(a[active])[0]
-        vals_b, vecs_b = solve(s4, a[active])
-        b[active] = vecs_b.reshape(-1, db, k)
-        if k > 1:
-            b[active] = np.linalg.qr(b[active])[0]
-        vals_a, vecs_a = solve(swapped, b[active])
-        a[active] = vecs_a.reshape(-1, da, k)
+        lows = []
+        for t4, fixed, free in sides:
+            if k > 1:
+                fixed[active] = np.linalg.qr(fixed[active])[0]
+            vals, vecs = np.linalg.eigh(_conditional(t4, fixed[active]))
+            free[active] = vecs[:, :, 0].reshape(-1, *free.shape[1:])
+            lows.append(vals[:, 0])
         step = np.full((r, 2), np.nan)
-        step[active, 0], step[active, 1] = vals_b, vals_a
+        step[active, 0], step[active, 1] = lows
         history.append(step)
-        done = ~(vals_b - vals_a >= CONVERGENCE_TOL)
-        values[active] = vals_a
+        done = ~(lows[0] - lows[1] >= CONVERGENCE_TOL)
+        values[active] = lows[1]
         converged[active[done]] = True
         active = active[~done]
         if not active.size:

@@ -160,8 +160,8 @@ def test_non_integer_dims_exit_2(tmp_path, capsys, dims):
 
 @pytest.mark.parametrize(
     "bad",
-    [[None, 0], ["x", 0], [1, [0]], [10**400, 0], "short"],
-    ids=["null", "string", "nested", "huge", "short"],
+    [[None, 0], ["x", 0], [1, [0]], [10**400, 0], "short", ["0.5", 0], [True, False]],
+    ids=["null", "string", "nested", "huge", "short", "numeric-string", "bool"],
 )
 def test_malformed_numbers_exit_2(tmp_path, capsys, bad):
     # each once ended in a TypeError, ValueError or OverflowError traceback, exit 1

@@ -12,6 +12,7 @@ from snwitness import (
     ParameterError,
     PureState,
     expectation,
+    lift_operator,
     make_isotropic_witness,
     maximally_entangled_state,
     min_eigenpair,
@@ -161,15 +162,23 @@ def test_partial_expectation_is_linear():
 
 
 def test_partial_expectation_side_b():
-    w = random_hermitian(Dims(2, 3), seed=9)
-    rng = np.random.default_rng(10)
-    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    amps /= np.linalg.norm(amps)
-    f = PureState(Dims(1, 3), amps)
-    out = partial_expectation(w, f, side="B")
-    w4 = w.matrix.reshape(2, 3, 2, 3)
-    expected = np.einsum("c,rcsd,d->rs", amps.conj(), w4, amps)
-    assert np.abs(out.matrix - expected).max() < 1e-12
+    # the lifted W carries ancillas on both factors; it is checked on both sides
+    lifted = lift_operator(random_hermitian(Dims(2, 3), 9), 2).operator
+    for w in (random_hermitian(Dims(2, 3), seed=9), lifted):
+        a_dim, b_dim = w.dims.a_dim, w.dims.b_dim
+        rng = np.random.default_rng(10)
+        amps = rng.normal(size=b_dim) + 1j * rng.normal(size=b_dim)
+        amps /= np.linalg.norm(amps)
+        f = PureState(Dims(1, b_dim), amps)
+        out = partial_expectation(w, f, side="B")
+        w4 = w.matrix.reshape(a_dim, b_dim, a_dim, b_dim)
+        expected = np.einsum("c,rcsd,d->rs", amps.conj(), w4, amps)
+        assert np.abs(out.matrix - expected).max() < 1e-12
+        if w is lifted:
+            e = PureState(Dims(a_dim, 1), amps[:a_dim] / np.linalg.norm(amps[:a_dim]))
+            out = partial_expectation(w, e, side="A")
+            expected = np.einsum("a,arcs,c->rs", e.amplitudes.conj(), w4, e.amplitudes)
+            assert np.abs(out.matrix - expected).max() < 1e-12
 
 
 def test_partial_expectation_dimension_mismatch():
@@ -395,6 +404,10 @@ REJECTED = {
     "partial-expectation-b-mismatch": (
         lambda: partial_expectation(random_hermitian(Dims(2, 3), seed=9),
                                     PureState(Dims(1, 2), np.array([1, 0])), side="B"),
+        DimensionError, "B-side factor"),
+    "partial-expectation-a-factor-on-side-b": (
+        lambda: partial_expectation(random_hermitian(Dims(2, 3), seed=9),
+                                    PureState(Dims(2, 1), np.array([1, 0])), side="B"),
         DimensionError, "B-side factor"),
     "partial-expectation-unknown-side": (
         lambda: partial_expectation(random_hermitian(D33, seed=9),

@@ -173,6 +173,28 @@ def test_seesaw_stops_at_the_first_a_half_step_gaining_under_the_tolerance(shape
             assert np.all(gains[:-1] >= witness.CONVERGENCE_TOL)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_seesaw_runs_one_eigh_and_one_qr_per_half_step(monkeypatch, k):
+    # one half-step body per side: an eigh each, and a QR each above k = 1
+    calls = {"eigh": 0, "qr": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr"))
+    s = random_unit_hermitian(Dims(3, 4), seed=(69, 0))
+    history = witness._seesaw(s.as_tensor(), k, starts_by_restart(CFG, 3 * k)).history
+    assert len(history) > 1
+    assert calls == {"eigh": 2 * len(history), "qr": 2 * len(history) if k > 1 else 0}
+
+
 @st.composite
 def rank_k_problems(draw):
     d_a = draw(st.sampled_from([2, 3, 4]))
