@@ -287,6 +287,7 @@ def _load_operator_arg(args) -> tuple[Operator, dict]:
     if args.a is None:
         raise CliInputError("--a is required with --family isotropic")
     source = {"family": "isotropic", "a": args.a, "dim": args.dim}
+    _refuse_unrepresentable(max(args.dim, 0) ** 4, 16, "the isotropic witness")
     return make_isotropic_witness(args.a, args.dim), source
 
 
@@ -309,6 +310,7 @@ def cmd_scan(args) -> int:
     if not 0 <= args.a_from < 1 or not 0 <= args.a_to < 1 or args.a_to < args.a_from:
         raise CliInputError("scan grid must satisfy 0 <= a-from <= a-to < 1")
     _refuse_unrepresentable(args.steps, 8, "the scan grid")
+    _refuse_unrepresentable(max(args.dim, 0) ** 4, 16, "the isotropic witness")
     grid = np.linspace(args.a_from, args.a_to, args.steps)
     config = _config_from_args(args)
     scan = threshold_scan(
@@ -393,9 +395,13 @@ def cmd_verify(args) -> int:
     inputs = {"suite": args.suite, "trials": args.trials, "seed": args.seed}
     if args.suite == "oracle":
         dims = _parse_dims(args.dims)
+        _refuse_unrepresentable(dims.total**2, 16, "a random operator")
         inputs.update(dims=dims_to_json(dims), config=config.to_json())
         result = suite_oracle(args.trials, args.seed, dims=dims, config=config)
     else:
+        # roundtrip draws states of d^2 entries, the other suites operators of d^4
+        exponent = 2 if args.suite == "roundtrip" else 4
+        _refuse_unrepresentable(max(args.dim, 0) ** exponent, 16, f"one {args.suite} trial")
         inputs["dim"] = args.dim
         result = SUITES[args.suite](args.trials, args.seed, d=args.dim)
     report = build_report("verify", inputs, result)

@@ -34,7 +34,6 @@ from .hilbert import (
     PureState,
     _conditional,
     _is_int,
-    min_eigenpair,
     normalize,
     partial_transpose,
     trace_pair,
@@ -265,7 +264,7 @@ def min_product_expectation(
 
 def is_entanglement_witness(w: Operator, config: OptimizerConfig) -> WitnessCheck:
     """True iff W is non-negative on products but has a negative eigenvalue."""
-    min_eig, eigvec = min_eigenpair(w)
+    min_eig, eigvec = _Spectra(w).eigenpair
     product_min = min_product_expectation(w, config)
     tol = config.positivity_tol
     verdict = product_min.value >= -tol and min_eig < -tol
@@ -280,14 +279,18 @@ def is_entanglement_witness(w: Operator, config: OptimizerConfig) -> WitnessChec
 @dataclass(frozen=True)
 class _Spectra:
     """The spectral facts of S that its Schmidt levels read, each computed on
-    first use and kept: the lowest ``eigenpair``, the smallest and largest
-    eigenvalue of S^Gamma (``extremes``) and S's eigensolver ``rounding``."""
+    first use and kept: one ``eigh`` of S, for its lowest ``eigenpair`` and
+    eigensolver ``rounding``, and the extremes of S^Gamma (``extremes``)."""
 
     s: Operator
 
     @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.s.matrix)
+
+    @cached_property
     def eigenpair(self) -> tuple[float, PureState]:
-        return min_eigenpair(self.s)
+        return float(self.eigh[0][0]), PureState(self.s.dims, self.eigh[1][:, 0])
 
     @cached_property
     def extremes(self) -> tuple[float, float]:
@@ -296,7 +299,7 @@ class _Spectra:
 
     @cached_property
     def rounding(self) -> float:
-        return _rounding(self.s, np.linalg.eigvalsh(self.s.matrix))
+        return _rounding(self.s, self.eigh[0])
 
 
 def _level_bound(s: Operator, level: int, extremes: tuple[float, float]) -> float:

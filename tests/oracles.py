@@ -9,8 +9,10 @@ iteration on the batched see-saw kernel, one trial at a time through the
 single-object maps instead of the stacked suites of ``snwitness.checks``,
 a per-term phase loop instead of the stacked Schmidt kernel, two draws of
 n normals per restart instead of one draw of 2n.  ``random_unit_hermitian``
-(a Hermitian operator of unit Frobenius norm) and ``starts_by_restart``
-(the see-saw's start vectors) are the shared input generators.
+(a Hermitian operator of unit Frobenius norm), ``congruent_isotropic``
+(operators whose Schmidt levels lie in closed-form intervals) and
+``starts_by_restart`` (the see-saw's start vectors) are the shared input
+generators.
 """
 
 import numpy as np
@@ -51,6 +53,40 @@ def random_unit_hermitian(dims, seed):
     g = rng.normal(size=(dims.total,) * 2) + 1j * rng.normal(size=(dims.total,) * 2)
     h = g + g.conj().T
     return Operator(dims, h / np.linalg.norm(h))
+
+
+def congruent_isotropic(d, k, seed, cond=3.0):
+    """S' = G^dagger W(a) G / Tr on d x d, with G = A (x) B invertible and W(a)
+    the isotropic member halfway between the thresholds 1/(d l) of levels
+    k - 1 and k, and each level's closed-form interval {l: (lo, hi)}.
+
+    A and B are Q1 diag(geomspace(1, cond, d)) Q2 with Q1, Q2 unitary.  G
+    maps the states of Schmidt rank <= l onto themselves, and
+    <psi|S'|psi> = |G psi|^2 <phi|W|phi> / Tr with phi = G psi / |G psi|, so
+    level l of S' lies between sigma_min(G)^2 m_l / Tr and
+    sigma_max(G)^2 m_l / Tr, for m_l = (1/d^2 - a l/d)/(1 - a) the isotropic
+    level: it has m_l's sign, and k is the order of S'."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+    a_factor, b_factor = (unitary() @ np.diag(np.geomspace(1, cond, d)) @ unitary()
+                          for _ in range(2))
+    g = np.kron(a_factor, b_factor)
+    a = (1 / (d * k) + 1 / (d * (k - 1))) / 2
+    phi = np.eye(d).ravel() / np.sqrt(d)
+    w = (np.eye(d * d) / d**2 - a * np.outer(phi, phi)) / (1 - a)
+    m = g.conj().T @ w @ g
+    tr = np.trace(m).real
+    assert tr > 0, "a negative trace would flip every level's sign"
+    sigma = np.linalg.svd(g, compute_uv=False)
+    intervals = {}
+    for level in range(1, d + 1):
+        m_l = (1 / d**2 - a * level / d) / (1 - a)
+        ends = sorted((sigma[-1] ** 2 * m_l / tr, sigma[0] ** 2 * m_l / tr))
+        intervals[level] = tuple(ends)
+    return Operator(Dims(d, d), (m + m.conj().T) / (2 * tr)), intervals
 
 
 def reduced_density_a(state):

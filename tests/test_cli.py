@@ -206,8 +206,17 @@ REJECTED_INPUTS = {
     "lift-beyond-numpy": ["lift", "--input", "{operator}", "--k", "100000"],
     "lift-state-beyond-numpy": ["lift", "--input", "{state}", "--k", str(10**20)],
     "scan-beyond-numpy": ["scan", "--a-from", "0.1", "--a-to", "0.2", "--steps", str(10**20)],
+    # dimensions whose operator or states are beyond numpy's address range
+    "classify-dim-beyond-numpy": ["classify", "--family", "isotropic", "--a", "0.1",
+                                  "--dim", str(10**9)],
+    "scan-dim-beyond-numpy": ["scan", "--a-from", "0.1", "--a-to", "0.2", "--steps", "2",
+                              "--dim", str(10**9)],
+    "oracle-beyond-numpy": ["verify", "--suite", "oracle", "--dims", f"2x{10**9}",
+                            "--trials", "1"],
+    "roundtrip-beyond-numpy": ["verify", "--suite", "roundtrip", "--dim", str(10**20),
+                               "--trials", "1"],
 }
-NUMPY_NEVER_SEES = {"lift-beyond-numpy", "lift-state-beyond-numpy", "scan-beyond-numpy"}
+NUMPY_NEVER_SEES = {name for name in REJECTED_INPUTS if name.endswith("-beyond-numpy")}
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED_INPUTS))
@@ -225,8 +234,10 @@ def test_rejected_inputs_exit_2_with_one_error_line(tmp_path, monkeypatch, capsy
         def refuse(*args, **kwargs):
             raise AssertionError("numpy was asked for the array")
 
-        # the lifts allocate with np.zeros, the scan grid with np.linspace
-        for attr in ("zeros", "linspace"):
+        # the lifts and random states allocate with np.zeros, the scan grid
+        # with np.linspace, the isotropic witness with np.eye and random
+        # operators with np.empty
+        for attr in ("zeros", "linspace", "eye", "empty"):
             monkeypatch.setattr(np, attr, refuse)
     assert run_cli(*[arg.format(**paths) for arg in REJECTED_INPUTS[name]]) == 2
     captured = capsys.readouterr()

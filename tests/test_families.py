@@ -8,7 +8,6 @@ import pytest
 
 import snwitness.cli as cli
 import snwitness.families as families
-import snwitness.hilbert as hilbert
 import snwitness.witness as witness
 from snwitness import (
     Dims,
@@ -360,19 +359,19 @@ def test_scan_computes_one_transposed_spectrum_per_row(monkeypatch, a_values, sp
     assert len(calls) == spectra
 
 
-def count_lowest_eigenpairs(monkeypatch):
-    """The list of operators whose lowest eigenpair the scan computes, in
-    whichever package module calls ``min_eigenpair``."""
+def count_full_size_eigh(monkeypatch, n):
+    """The list of n x n matrices the scan decomposes with ``np.linalg.eigh``:
+    a record's one eigh of S, which its lowest eigenpair and its rounding
+    read.  The see-saw's half-steps would solve stacks of smaller ones."""
     calls = []
-    original = hilbert.min_eigenpair
+    eigh = np.linalg.eigh
 
-    def counted(h):
-        calls.append(h)
-        return original(h)
+    def counted(m, *args, **kwargs):
+        if np.shape(m) == (n, n):
+            calls.append(m)
+        return eigh(m, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "snwitness" and getattr(module, "min_eigenpair", None) is original:
-            monkeypatch.setattr(module, "min_eigenpair", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
 
 
@@ -391,7 +390,7 @@ def count_lowest_eigenpairs(monkeypatch):
     ],
 )
 def test_scan_computes_a_lowest_eigenpair_only_where_it_is_used(monkeypatch, a, eigenpairs):
-    calls = count_lowest_eigenpairs(monkeypatch)
+    calls = count_full_size_eigh(monkeypatch, 9)
     threshold_scan([a], d=3, config=OptimizerConfig(seed=7, restarts=64))
     assert len(calls) == eigenpairs
 

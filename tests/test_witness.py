@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import _pencil_seesaw, lifted_seesaw_min, random_unit_hermitian, starts_by_restart
+from oracles import (
+    _pencil_seesaw,
+    congruent_isotropic,
+    lifted_seesaw_min,
+    random_unit_hermitian,
+    starts_by_restart,
+)
 import snwitness.witness as witness
 from snwitness import (
     DimensionError,
@@ -830,36 +836,43 @@ def test_identity_pencil_threshold_is_one():
 
 
 def test_subtraction_solves_each_spectrum_once(monkeypatch):
-    # one record each for S, Z and -Z: their rounding is one eigvalsh each,
-    # and the level 2 of S and of -Z (Z's maximum) read the extremes of S^Gamma
-    # and -Z^Gamma from one more each; Z's level 3 is its lowest eigenpair,
-    # from eigh.  Each Dinkelbach step is one more record, of its pencil
-    # P - r Q, whose level 2 reads the extremes of the pencil's partial
-    # transpose once
+    # one record each for S, Z and -Z, each decomposed by one eigh: it gives
+    # their rounding, and Z's level 3 its lowest eigenpair.  The level 2 of S
+    # and of -Z (Z's maximum) read the extremes of S^Gamma and -Z^Gamma from
+    # one eigvalsh each.  Each Dinkelbach step is one more record, of its
+    # pencil P - r Q, whose level 2 reads the extremes of the pencil's partial
+    # transpose once, and its one eigh where it reads the lowest eigenvector
     s, z = isotropic(1 / 8), identity_over_nine()
-    solved, records = [], []
-    eigvalsh = np.linalg.eigvalsh
+    solved, records = {"eigh": [], "eigvalsh": []}, []
 
-    def counted(m, *args, **kwargs):
-        solved.append(np.asarray(m).tobytes())
-        return eigvalsh(m, *args, **kwargs)
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def call(m, *args, **kwargs):
+            if np.ndim(m) == 2:  # the see-saw's half-steps solve 3-D stacks
+                solved[name].append(np.asarray(m).tobytes())
+            return solver(m, *args, **kwargs)
+
+        return call
 
     class Recorded(witness._Spectra):
         def __init__(self, s):
-            records.append(s)
+            records.append(self)
             super().__init__(s)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for name in solved:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     monkeypatch.setattr(witness, "_Spectra", Recorded)
     result = lambda_max_subtraction(s, z, 3, CFG)
     monkeypatch.undo()
     inputs = [s.matrix, z.matrix, -z.matrix]
-    assert [r.matrix.tobytes() for r in records[:3]] == [m.tobytes() for m in inputs]
+    assert [r.s.matrix.tobytes() for r in records[:3]] == [m.tobytes() for m in inputs]
     pencils = records[3:]
     assert pencils
-    expected = [witness.partial_transpose(s).matrix, *inputs]
-    expected += [witness.partial_transpose(op).matrix for op in (records[2], *pencils)]
-    assert sorted(solved) == sorted(m.tobytes() for m in expected)
+    decomposed = inputs + [p.s.matrix for p in pencils if "eigh" in vars(p)]
+    assert sorted(solved["eigh"]) == sorted(m.tobytes() for m in decomposed)
+    transposed = [witness.partial_transpose(r.s).matrix for r in (records[0], records[2], *pencils)]
+    assert sorted(solved["eigvalsh"]) == sorted(m.tobytes() for m in transposed)
     assert abs(result.lambda0 - 2 / 7) < 1e-6
 
 
@@ -1225,23 +1238,68 @@ def test_level_minimum_returns_one_record_from_each_branch():
 
 def test_spectra_fields_are_computed_once(monkeypatch):
     # iso(0.2) at d = 3: level 1 is the bound, level 2 exact and level 3 the
-    # spectrum, so every level reads the record; each field is solved once
+    # spectrum, so every level reads the record; one eigh of S serves the
+    # eigenpair and the rounding, one eigvalsh of S^Gamma the extremes
+    s = isotropic(0.2)
     calls = []
-    for name in ("min_eigenpair", "partial_transpose"):
-        original = getattr(witness, name)
-        monkeypatch.setattr(
-            witness, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
-        )
-    eigvalsh = np.linalg.eigvalsh
+    original = witness.partial_transpose
     monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda *args: calls.append("eigvalsh") or eigvalsh(*args)
+        witness, "partial_transpose",
+        lambda op: calls.append(("partial_transpose", op.matrix.tobytes())) or original(op),
     )
-    spectra = witness._Spectra(isotropic(0.2))
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda m, f=solver, n=name: calls.append((n, np.asarray(m).tobytes())) or f(m),
+        )
+    spectra = witness._Spectra(s)
     for _ in range(2):
         sources = [witness._level_minimum(spectra, level, CFG).source for level in (1, 2, 3)]
         assert sources == ["bound", "exact", "spectrum"]
         assert spectra.rounding > 0
-    assert sorted(calls) == ["eigvalsh", "eigvalsh", "min_eigenpair", "partial_transpose"]
+    monkeypatch.undo()
+    s_gamma = witness.partial_transpose(s).matrix
+    assert sorted(calls) == [
+        ("eigh", s.matrix.tobytes()),
+        ("eigvalsh", s_gamma.tobytes()),
+        ("partial_transpose", s.matrix.tobytes()),
+    ]
+    # the eigenpair is min_eigenpair's, bit for bit
+    value, vector = min_eigenpair(s)
+    assert spectra.eigenpair[0] == value
+    assert spectra.eigenpair[1].amplitudes.tobytes() == vector.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_congruent_isotropic_levels_lie_in_their_closed_form_intervals(monkeypatch, d, k, seed):
+    # an invertible local congruence of an isotropic member keeps the sign of
+    # every level, so its order k is known in closed form, and its levels
+    # below min(dA, dB) are not solved from the partial transpose alone
+    s, intervals = congruent_isotropic(d, k, seed)
+    found = {}
+    level_minimum = witness._level_minimum
+
+    def recorded(spectra, level, config):
+        found[level] = level_minimum(spectra, level, config)
+        return found[level]
+
+    monkeypatch.setattr(witness, "_level_minimum", recorded)
+    cls = classify_schmidt_witness(s, config=CFG)
+    tol = CFG.positivity_tol
+    assert (cls.verdict, cls.k) == (SCHMIDT_WITNESS, k)
+    assert sorted(found) == list(range(1, k + 1))
+    for level, result in found.items():
+        lo, hi = intervals[level]
+        assert cls.per_level_product_min[level] == result.value
+        if result.source == "bound":
+            assert -tol <= result.value <= hi
+        else:
+            assert lo - 1e-9 <= result.value <= hi + 1e-9
+    assert schmidt_rank(cls.detected_state) <= k
+    assert expectation(s, cls.detected_state) < -tol
+    assert "seesaw" in [result.source for result in found.values()]
 
 
 @pytest.mark.parametrize("dims, k", [((3, 3), 1), ((3, 4), 2), ((4, 4), 3)])
